@@ -21,7 +21,6 @@ from .permgroup import (
     GroupBSGS,
     Perm,
     DegreeMismatch,
-    identity,
     orbit,
     read_generators,
     schreier_sims,
@@ -220,9 +219,10 @@ def automorphism_group(
             raise
         timed_out = True
 
-    order = schreier_sims(found, n=n).order if found else 1
     for p in found:
-        assert _is_automorphism(a, p)
+        if not _is_automorphism(a, p):
+            raise NotAnAutomorphism("search returned a non-automorphism")
+    order = group_chain().order if found else 1
     return AutResult(found, order, not timed_out)
 
 

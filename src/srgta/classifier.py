@@ -345,7 +345,7 @@ def triple_transitivity_verdict(
         gens_list, complete = found.gens, found.complete
     else:
         gens_list, complete = list(gens), True
-    group = schreier_sims(gens_list, n=g.n)
+    group = schreier_sims(gens_list, base_prefix=(0,), n=g.n)
     return analyze_vertex(
         g, gens_list, group, 0,
         primes=primes, rational=rational, aut_complete=complete,

@@ -2,7 +2,8 @@
 
 Subcommands: construct, analyze, aut, classify, check-triple, reproduce.
 Exit codes: 0 success, 1 a reproduce row failed, 2 usage or parameter
-error, 3 timeout.
+error, 3 timeout, 4 a closure budget overrun or an internal cross-check
+disagreement, printed as `error: <Type>: <message>` (a FAIL row in reproduce).
 """
 
 from __future__ import annotations
@@ -54,8 +55,15 @@ from .graphcore import (
     subconstituents,
     write_graph,
 )
+from .linalg import ClosureBudgetExceeded, ClosureSelfTestFailed, PrimeDisagreement
 from .permgroup import DegreeMismatch, orbits, schreier_sims, write_generators
-from .terwilliger import analyze_vertex, t_dim_spectral_crosscheck, t_report
+from .terwilliger import (
+    InternalDisagreement,
+    OracleMismatch,
+    analyze_vertex,
+    t_dim_spectral_crosscheck,
+    t_report,
+)
 
 _USAGE_ERRORS = (
     ParamRange,
@@ -72,6 +80,14 @@ _USAGE_ERRORS = (
     SizeGuardExceeded,
     FileNotFoundError,
     IsADirectoryError,
+)
+
+_COMPUTATION_ERRORS = (
+    ClosureBudgetExceeded,
+    ClosureSelfTestFailed,
+    PrimeDisagreement,
+    OracleMismatch,
+    InternalDisagreement,
 )
 
 
@@ -145,14 +161,13 @@ def cmd_analyze(args) -> int:
     require_srg(g)
     primes = _scalar_primes(args)
     gens, complete = _load_gens(args, g)
-    group = schreier_sims(gens, n=g.n)
     if args.all_vertices:
         reps = sorted(min(o) for o in orbits(gens, g.n))
     else:
         reps = [0]
     reports = [
         analyze_vertex(
-            g, gens, group, omega,
+            g, gens, schreier_sims(gens, base_prefix=(omega,), n=g.n), omega,
             primes=primes, rational=args.rational, aut_complete=complete,
         )
         for omega in reps
@@ -608,6 +623,9 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _COMPUTATION_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

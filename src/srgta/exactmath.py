@@ -259,23 +259,6 @@ def srg_multiplicities(n: int, k: int, lam: int, mu: int) -> tuple[int, int]:
     return m1.as_int(), m2.as_int()
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Z/p for prime p; a thin wrapper since vector work happens in numpy."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
-
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(x, self.p - 2, self.p)
-
-
 class FiniteField:
     """GF(p^k) with elements encoded as integers in [0, p^k).
 

@@ -158,18 +158,14 @@ def _cayley_additive(p: int, length: int, conn) -> Graph:
     n = p**length
     digits = _digit_table(p, length, n)
     powers = p ** np.arange(length, dtype=np.int64)
-    words = (n + 63) // 64
-    bits = np.zeros((n, words), dtype=np.uint64)
+    adj = np.zeros((n, n), dtype=np.uint8)
     rows = np.arange(n)
     conn = sorted(set(conn))
     assert 0 not in conn
     for s in conn:
-        sd = digits[s]
-        target = ((digits + sd) % p) @ powers
-        np.bitwise_or.at(
-            bits, (rows, target >> 6), np.uint64(1) << (target & 63).astype(np.uint64)
-        )
-    return Graph(n, bits)
+        target = ((digits + digits[s]) % p) @ powers
+        adj[rows, target] = 1
+    return Graph.from_dense(adj)
 
 
 def paley(q: int) -> Graph:

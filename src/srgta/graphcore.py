@@ -1,8 +1,9 @@
-"""Undirected simple graphs as packed bit matrices, and the SRG predicate.
+"""Undirected simple graphs and the SRG predicate.
 
-The adjacency matrix is stored as n rows of uint64 words so that
-common-neighbour counts (the dominant inner loop everywhere in this package)
-are popcounts of ANDed rows.
+A graph holds one read-only dense n×n uint8 adjacency matrix; every query and
+every consumer (matrix products, refinement, induced subgraphs) works on that
+matrix.  Whether a graph is strongly regular is computed once and remembered
+on the graph, which is immutable.
 """
 
 from __future__ import annotations
@@ -82,65 +83,53 @@ class VertexPartition:
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "bits", "_words")
+    __slots__ = ("n", "_adj", "_srg")
 
-    def __init__(self, n: int, bits: np.ndarray):
-        self.n = n
-        self._words = (n + 63) // 64
-        assert bits.shape == (n, self._words) and bits.dtype == np.uint64
-        bits.setflags(write=False)
-        self.bits = bits
+    def __init__(self, adj: np.ndarray):
+        # callers go through from_edges / from_dense, which validate
+        adj.setflags(write=False)
+        self.n = adj.shape[0]
+        self._adj = adj
+        self._srg = None  # result of is_strongly_regular, once require_srg ran
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        words = (n + 63) // 64
-        bits = np.zeros((n, words), dtype=np.uint64)
+        adj = np.zeros((n, n), dtype=np.uint8)
         for u, v in edges:
             if u == v:
                 raise LoopRejected(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
-            bits[u, v >> 6] |= np.uint64(1 << (v & 63))
-            bits[v, u >> 6] |= np.uint64(1 << (u & 63))
-        return Graph(n, bits)
+            adj[u, v] = adj[v, u] = 1
+        return Graph(adj)
 
     @staticmethod
     def from_dense(a: np.ndarray) -> "Graph":
         a = np.asarray(a)
-        n = a.shape[0]
-        assert a.shape == (n, n)
-        mask = a != 0
-        np.fill_diagonal(mask, False)
-        if not np.array_equal(mask, mask.T):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+        adj = (a != 0).astype(np.uint8)
+        np.fill_diagonal(adj, 0)
+        if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency matrix must be symmetric")
-        words = (n + 63) // 64
-        padded = np.zeros((n, words * 64), dtype=np.uint8)
-        padded[:, :n] = mask
-        bits = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-        return Graph(n, bits.copy())
+        return Graph(adj)
 
     # -- queries -----------------------------------------------------------
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.bits[u, v >> 6] >> np.uint64(v & 63)) & np.uint64(1))
-
-    def dense_row(self, v: int) -> np.ndarray:
-        row = np.unpackbits(self.bits[v].view(np.uint8), bitorder="little")
-        return row[: self.n]
+        return bool(self._adj[u, v])
 
     def neighbours(self, v: int) -> list[int]:
-        return np.nonzero(self.dense_row(v))[0].tolist()
+        return np.flatnonzero(self._adj[v]).tolist()
 
     def degrees(self) -> np.ndarray:
-        return np.bitwise_count(self.bits).sum(axis=1).astype(np.int64)
+        return self._adj.sum(axis=1, dtype=np.int64)
 
     def adjacency_dense(self) -> np.ndarray:
-        rows = np.unpackbits(self.bits.view(np.uint8), axis=1, bitorder="little")
-        return rows[:, : self.n].astype(np.int8)
+        return self._adj.astype(np.int8)
 
     def edges(self) -> list[tuple[int, int]]:
-        a = self.adjacency_dense()
-        us, vs = np.nonzero(np.triu(a, 1))
+        us, vs = np.nonzero(np.triu(self._adj, 1))
         return list(zip(us.tolist(), vs.tolist()))
 
     @property
@@ -151,28 +140,25 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and np.array_equal(self.bits, other.bits)
+            and np.array_equal(self._adj, other._adj)
         )
 
     def __hash__(self):
-        return hash((self.n, self.bits.tobytes()))
+        return hash((self.n, self._adj.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.n_edges})"
 
 
 def complement(g: Graph) -> Graph:
-    a = g.adjacency_dense()
-    c = 1 - a
-    np.fill_diagonal(c, 0)
-    return Graph.from_dense(c)
+    return Graph.from_dense(1 - g._adj)  # from_dense clears the diagonal
 
 
 def common_neighbour_counts(g: Graph) -> tuple[set[int], set[int]]:
     """Distinct common-neighbour counts over (adjacent, non-adjacent) pairs."""
-    a = g.adjacency_dense().astype(np.float64)
+    a = g._adj.astype(np.float64)
     c = (a @ a).astype(np.int64)
-    adj = g.adjacency_dense().astype(bool)
+    adj = g._adj.astype(bool)
     off = ~np.eye(g.n, dtype=bool)
     return (
         set(np.unique(c[adj]).tolist()) if adj.any() else set(),
@@ -198,10 +184,9 @@ def is_strongly_regular(g: Graph):
         return NotSrg("empty graph")
     if k == n - 1:
         return NotSrg("complete graph")
-    a = g.adjacency_dense()
-    cf = a.astype(np.float64)
+    cf = g._adj.astype(np.float64)
     c = (cf @ cf).astype(np.int64)
-    adj = a.astype(bool)
+    adj = g._adj.astype(bool)
     nonadj = ~adj
     np.fill_diagonal(nonadj, False)
     lam = int(c[adj][0])
@@ -219,7 +204,10 @@ def is_strongly_regular(g: Graph):
 
 
 def require_srg(g: Graph) -> SrgParams:
-    p = is_strongly_regular(g)
+    """The parameters of g, or NotSrgError; the check runs once per graph."""
+    if g._srg is None:
+        g._srg = is_strongly_regular(g)
+    p = g._srg
     if not p:
         raise NotSrgError(p.reason)
     return p
@@ -231,23 +219,27 @@ def is_primitive(params: SrgParams) -> bool:
     return mu > 0 and (n - 2 * k + lam) > 0
 
 
-def subconstituents(g: Graph, omega: int = 0):
-    """Induced subgraphs on the neighbours and non-neighbours of omega."""
+def vertex_partition(g: Graph, omega: int = 0) -> VertexPartition:
+    """omega, its neighbours and its non-neighbours, read off omega's row."""
     if not (0 <= omega < g.n):
         raise VertexOutOfRange(f"vertex {omega} outside 0..{g.n - 1}")
-    row = g.dense_row(omega).astype(bool)
-    d1 = tuple(np.nonzero(row)[0].tolist())
+    row = g._adj[omega].astype(bool)
     rest = ~row
     rest[omega] = False
-    d2 = tuple(np.nonzero(rest)[0].tolist())
-    part = VertexPartition(omega, (omega,), d1, d2)
-    return induced_subgraph(g, d1), induced_subgraph(g, d2), part
+    return VertexPartition(
+        omega, (omega,), tuple(np.flatnonzero(row).tolist()), tuple(np.flatnonzero(rest).tolist())
+    )
+
+
+def subconstituents(g: Graph, omega: int = 0):
+    """Induced subgraphs on the neighbours and non-neighbours of omega."""
+    part = vertex_partition(g, omega)
+    return induced_subgraph(g, part.delta1), induced_subgraph(g, part.delta2), part
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     idx = np.asarray(vertices, dtype=np.int64)
-    a = g.adjacency_dense()[np.ix_(idx, idx)]
-    return Graph.from_dense(a)
+    return Graph.from_dense(g._adj[np.ix_(idx, idx)])
 
 
 def clique_extension(g: Graph, m: int) -> Graph:

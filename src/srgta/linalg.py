@@ -42,6 +42,10 @@ class PrimeDisagreement(RuntimeError):
     """Two prime fields produced different dimensions: modulus artefact."""
 
 
+class ClosureSelfTestFailed(RuntimeError):
+    """A product of spanning matrices fell outside the computed closure."""
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product of matrices with entries in [0,p), reduced mod p."""
     m = a.shape[1]
@@ -123,12 +127,6 @@ class SubspaceBasis:
         return not np.any(self._reduce(self._as_field(v)))
 
 
-def span_insert(basis: SubspaceBasis, v) -> tuple[SubspaceBasis, bool]:
-    """Functional wrapper kept for symmetry with the other operations."""
-    grew = basis.insert(v)
-    return basis, grew
-
-
 def _normalize(m: np.ndarray, n: int, p: int | None) -> np.ndarray:
     if m.shape != (n, n):
         raise DimMismatch(f"matrix shape {m.shape} != ({n},{n})")
@@ -201,7 +199,10 @@ def closure_product_selftest(
     for _ in range(samples):
         i, j = rng.integers(0, len(mats), size=2)
         prod = _mul(mats[int(i)], mats[int(j)], p)
-        assert basis.contains(prod.reshape(-1)), "closure not product-closed"
+        if not basis.contains(prod.reshape(-1)):
+            raise ClosureSelfTestFailed(
+                f"product of spanning matrices {int(i)} and {int(j)} lies outside the span"
+            )
 
 
 def block_dims(basis: SubspaceBasis, masks) -> np.ndarray:

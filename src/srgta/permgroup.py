@@ -154,8 +154,6 @@ def _orbit_transversal(n: int, gens, point: int) -> dict:
 
 def _sift(levels, g: Perm):
     """Factor g through the chain; returns (residue, level index reached)."""
-    n = len(g)
-    ident = identity(n)
     for i, lvl in enumerate(levels):
         target = g[lvl.point]
         if target not in lvl.transversal:
@@ -242,30 +240,32 @@ def schreier_sims(gens, base_prefix=(), n: int | None = None) -> GroupBSGS:
 
 
 def point_stabilizer(group: GroupBSGS, omega: int) -> list[Perm]:
-    """Generators of G_omega, via a base change placing omega first."""
+    """Generators of G_omega, read off a chain whose base starts at omega."""
     if not (0 <= omega < group.n):
         raise VertexOutOfRange(f"vertex {omega} outside 0..{group.n - 1}")
-    chain = schreier_sims(group.strong_gens, base_prefix=(omega,), n=group.n)
-    return chain.stabilizer_gens(1)
+    if group.base[:1] != (omega,):
+        group = schreier_sims(group.strong_gens, base_prefix=(omega,), n=group.n)
+    return group.stabilizer_gens(1)
 
 
 def two_point_stabilizer(group: GroupBSGS, omega: int, omega2: int) -> list[Perm]:
+    """Generators of G_{omega,omega2}: the stabilizer of omega2 inside G_omega."""
     for w in (omega, omega2):
         if not (0 <= w < group.n):
             raise VertexOutOfRange(f"vertex {w} outside 0..{group.n - 1}")
     if omega == omega2:
         raise ValueError("points must be distinct")
-    chain = schreier_sims(group.strong_gens, base_prefix=(omega, omega2), n=group.n)
-    return chain.stabilizer_gens(2)
+    stab = point_stabilizer(group, omega)
+    return schreier_sims(stab, base_prefix=(omega2,), n=group.n).stabilizer_gens(1)
 
 
 def transitivity_rank(group: GroupBSGS, n: int) -> tuple[bool, int | None]:
-    """(transitive, number of orbits of a point stabilizer)."""
-    gens = list(group.strong_gens)
-    if len(orbit(gens, 0) if gens else {0}) != n:
+    """(transitive, number of orbits of the first base point's stabilizer)."""
+    if not group.levels:  # trivial group, no base point asked for
+        return (True, 1) if n == 1 else (False, None)
+    if len(group.levels[0].transversal) != n:
         return False, None
-    stab = point_stabilizer(group, 0)
-    return True, orbit_count(stab, n)
+    return True, orbit_count(group.stabilizer_gens(1), n)
 
 
 def orbital_count_block(stab_gens, cell_i, cell_j) -> int:

@@ -30,6 +30,7 @@ from .graphcore import (
     is_primitive,
     require_srg,
     subconstituents,
+    vertex_partition,
 )
 from .linalg import (
     PrimeDisagreement,
@@ -89,12 +90,10 @@ class Idempotents:
 
 def idempotents(g: Graph, omega: int = 0) -> Idempotents:
     require_srg(g)
-    _, _, part = subconstituents(g, omega)
-    masks = []
-    for cell in part.cells:
-        m = np.zeros(g.n, dtype=np.int64)
-        m[list(cell)] = 1
-        masks.append(m)
+    part = vertex_partition(g, omega)
+    masks = np.zeros((3, g.n), dtype=np.int64)
+    for mask, cell in zip(masks, part.cells):
+        mask[list(cell)] = 1
     return Idempotents(part, tuple(masks))
 
 
@@ -186,7 +185,7 @@ def t_tilde_report(
     idem = idempotents(g, omega)
     cells = idem.part.cells
     if group is None:
-        group = schreier_sims(gens, n=g.n)
+        group = schreier_sims(gens, base_prefix=(omega,), n=g.n)
     transitive, _ = transitivity_rank(group, g.n)
     if require_transitive and not transitive:
         raise NotTransitive("generators are not vertex-transitive")

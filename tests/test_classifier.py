@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from srgta import classifier, graphcore, permgroup, terwilliger
 from srgta.classifier import (
     InconsistentParams,
     KreinReport,
@@ -22,7 +23,7 @@ from srgta.classifier import (
 )
 from srgta.exactmath import QuadExt, srg_eigenvalues
 from srgta.families import FamilySpec, construct
-from srgta.graphcore import ImprimitiveParams, SrgParams, complement, require_srg
+from srgta.graphcore import Graph, ImprimitiveParams, SrgParams, complement, require_srg
 
 FEASIBLE = [
     (5, 2, 0, 1),
@@ -257,6 +258,35 @@ def test_full_verdict_pipeline(petersen, clebsch):
 
     report = triple_transitivity_verdict(clebsch)
     assert report.verdicts["triply_transitive"] is True
+
+
+def test_verdict_checks_srg_once_and_builds_one_full_chain(monkeypatch):
+    # a fresh graph, so no earlier test has remembered its SRG check
+    g = Graph.from_dense(construct(FamilySpec("paley", (13,))).adjacency_dense())
+    srg_checks = []
+    real_check = graphcore.is_strongly_regular
+
+    def counted_check(h):
+        srg_checks.append(h)
+        return real_check(h)
+
+    full_chains = []
+    real_chain = permgroup.schreier_sims
+
+    def counted_chain(*args, **kwargs):
+        chain = real_chain(*args, **kwargs)
+        if chain.order == 78:
+            full_chains.append(chain.base[:1])
+        return chain
+
+    monkeypatch.setattr(graphcore, "is_strongly_regular", counted_check)
+    # the search in autgrp keeps its own binding and is not counted
+    for module in (permgroup, terwilliger, classifier):
+        monkeypatch.setattr(module, "schreier_sims", counted_chain)
+    report = triple_transitivity_verdict(g)
+    assert report.aut_order == 78
+    assert srg_checks == [g]
+    assert full_chains == [(0,)]
 
 
 def test_verdict_with_exhausted_budget_is_unknown(petersen):

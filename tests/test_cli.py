@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import srgta.cli
 from srgta.cli import main
 from srgta.graphcore import read_graph, write_graph
-from srgta.terwilliger import AlgebraReport
+from srgta.linalg import ClosureBudgetExceeded, ClosureSelfTestFailed, PrimeDisagreement
+from srgta.terwilliger import AlgebraReport, InternalDisagreement, OracleMismatch
 
 
 def run(capsys, *argv):
@@ -235,3 +237,22 @@ def test_reproduce_reports_failure(capsys):
     assert code == 1
     assert "FAIL paley_5" in text
     assert "0 pass, 1 fail, 0 skip" in text
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ClosureBudgetExceeded, ClosureSelfTestFailed, PrimeDisagreement,
+     OracleMismatch, InternalDisagreement],
+)
+def test_computation_errors_exit_4(capsys, monkeypatch, petersen_file, error):
+    def failing_verdict(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(srgta.cli, "triple_transitivity_verdict", failing_verdict)
+    code, _, err = run(capsys, "check-triple", petersen_file)
+    assert code == 4
+    assert err == f"error: {error.__name__}: injected\n"
+    # the battery still reports the same error as a failed row
+    code, text, _ = run(capsys, "reproduce", "--only", "paley_5", "--jobs", "1")
+    assert code == 1
+    assert f"FAIL paley_5: {error.__name__}: injected" in text

@@ -1,11 +1,17 @@
 """Exact linear algebra: echelon bases, algebra closure, block splitting."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srgta
 from srgta.linalg import (
     ClosureBudgetExceeded,
     DimMismatch,
@@ -117,6 +123,28 @@ def test_closure_of_nilpotent_shift():
     assert basis.dim == 4
     assert len(mats) == 4
     closure_product_selftest(basis, mats, 97)
+
+
+def test_selftest_raises_under_python_optimize():
+    # span{I, N} with N the 3x3 shift is not product-closed: N^2 lies outside it
+    code = textwrap.dedent("""
+        import numpy as np
+        from srgta.linalg import SubspaceBasis, closure_product_selftest
+        mats = [np.eye(3, dtype=np.int64), np.eye(3, k=1, dtype=np.int64)]
+        basis = SubspaceBasis(97, 9)
+        for m in mats:
+            basis.insert(m.reshape(-1))
+        closure_product_selftest(basis, mats, 97)
+    """)
+    src = str(Path(srgta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ClosureSelfTestFailed" in proc.stderr
 
 
 def test_closure_of_all_ones():

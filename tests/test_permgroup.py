@@ -1,11 +1,14 @@
 """Permutation machinery: composition, orbits, Schreier-Sims chains."""
 
+from functools import cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srgta.graphcore import ParseError, VertexOutOfRange
+from srgta.autgrp import automorphism_group
+from srgta.families import FamilySpec, construct
+from srgta.graphcore import ParseError, VertexOutOfRange, complement
 from srgta.permgroup import (
     CellNotInvariant,
     DegreeMismatch,
@@ -132,6 +135,56 @@ def test_orbit_stabilizer_identity():
         for w in range(n):
             stab_order = schreier_sims(point_stabilizer(group, w), n=n).order
             assert group.order == len(orbit(gens, w)) * stab_order
+
+
+# name -> (order, rank) of a transitive group, for the property test below
+CHAIN_GROUPS = {
+    "S4": (24, 2),
+    "A4": (12, 2),
+    "D5": (10, 3),
+    "aut_petersen": (120, 3),
+    "aut_grid3": (72, 3),
+    "aut_paley13": (78, 3),
+}
+
+
+@cache
+def chain_group_gens(name):
+    if name == "S4":
+        return S4_GENS
+    if name == "A4":
+        return [(1, 2, 0, 3), (0, 2, 3, 1)]
+    if name == "D5":
+        return [ROT5, FLIP5]
+    g = {
+        "aut_petersen": lambda: complement(construct(FamilySpec("johnson", (5,)))),
+        "aut_grid3": lambda: construct(FamilySpec("grid", (3,))),
+        "aut_paley13": lambda: construct(FamilySpec("paley", (13,))),
+    }[name]()
+    return automorphism_group(g).gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CHAIN_GROUPS)), st.data())
+def test_orbit_stabilizer_on_chains_with_any_base(name, data):
+    """|G| = |w^G| |G_w| and |G_w| = |x^(G_w)| |G_(w,x)|, whatever the base."""
+    gens = chain_group_gens(name)
+    order, rank = CHAIN_GROUPS[name]
+    n = len(gens[0])
+    omega = data.draw(st.integers(0, n - 1), label="omega")
+    x = data.draw(st.integers(0, n - 1).filter(lambda v: v != omega), label="x")
+    prefix = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
+    if data.draw(st.booleans(), label="base starts at omega"):
+        prefix = [omega] + [b for b in prefix if b != omega]
+    chain = schreier_sims(gens, base_prefix=tuple(prefix), n=n)
+    assert chain.order == order
+    assert transitivity_rank(chain, n) == (True, rank)
+    stab = point_stabilizer(chain, omega)
+    stab_order = schreier_sims(stab, n=n).order
+    assert order == len(orbit(gens, omega)) * stab_order
+    two = two_point_stabilizer(chain, omega, x)
+    assert all(p[omega] == omega and p[x] == x for p in two)
+    assert stab_order == len(orbit(stab, x)) * schreier_sims(two, n=n).order
 
 
 def test_transitivity_rank_examples():
