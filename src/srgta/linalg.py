@@ -150,10 +150,13 @@ def algebra_closure(
 ) -> tuple[SubspaceBasis, list[np.ndarray]]:
     """Smallest product-closed subspace containing the identity and gens.
 
+    A subspace holding I and closed under x ↦ g·x for each g in gens holds
+    every word in gens, so pushing g·x per spanning matrix x suffices.
+
     Returns the echelon basis together with the spanning matrices actually
-    inserted (products of those reproduce every product in the span, which
-    the closure self-test relies on).  Raises ClosureBudgetExceeded once the
-    dimension passes cap (default 4n).
+    inserted; they span a product-closed space, so the product of any two
+    lies in the span, which the closure self-test relies on.  Raises
+    ClosureBudgetExceeded once the dimension passes cap (default 4n).
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -161,31 +164,21 @@ def algebra_closure(
     basis = SubspaceBasis(p, n * n)
     mats: list[np.ndarray] = []
 
-    def push(m: np.ndarray) -> bool:
-        m = _normalize(m, n, p)
+    def push(m: np.ndarray) -> None:
         if basis.insert(m.reshape(-1)):
             mats.append(m)
             if basis.dim > budget:
                 raise ClosureBudgetExceeded(
                     f"closure dimension exceeded {budget} on a {n}-vertex space"
                 )
-            return True
-        return False
 
-    push(np.eye(n, dtype=np.int64))
+    gens = [_normalize(g, n, p) for g in gens]
+    push(_normalize(np.eye(n, dtype=np.int64), n, p))
     for g in gens:
         push(g)
-
-    frontier = list(mats)
-    while frontier:
-        added: list[np.ndarray] = []
-        current = list(mats)
-        for x in frontier:
-            for y in current:
-                for prod in (_mul(x, y, p), _mul(y, x, p)):
-                    if push(prod):
-                        added.append(mats[-1])
-        frontier = added
+    for x in mats:                # mats grows while it is walked
+        for g in gens:
+            push(_mul(g, x, p))
     return basis, mats
 
 

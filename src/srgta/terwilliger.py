@@ -149,7 +149,9 @@ def t_report(
     check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")
     idem = idempotents(g, omega)
     _, a1, a2 = _relation_matrices(g)
-    gens = [a1, a2] + [np.diag(m) for m in idem.masks]
+    # E*₀ = I − E*₁ − E*₂ adds nothing; A₂ stays, since J is not a
+    # polynomial in A₁ when the graph is disconnected
+    gens = [a1, a2] + [np.diag(m) for m in idem.masks[1:]]
     results = []
     for p in _primes_for(rational, primes):
         basis, mats = algebra_closure(gens, g.n, p)

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import srgta
+from srgta import linalg
 from srgta.linalg import (
     ClosureBudgetExceeded,
     DimMismatch,
@@ -23,6 +24,7 @@ from srgta.linalg import (
     closure_product_selftest,
     matmul_mod,
 )
+from srgta.terwilliger import _relation_matrices, idempotents
 
 # one prime per arithmetic path: float64 BLAS, int64, object fallback
 PRIMES = [2, 97, 1048573, 134217757, 2147483659]
@@ -177,6 +179,92 @@ def test_closure_dimension_is_substrate_independent():
     a = a + a.T
     dims = {algebra_closure([a], 5, p)[0].dim for p in (97, 1048573, None)}
     assert len(dims) == 1
+
+
+def reference_closure(gens, n, p):
+    """Spanning matrices of the unital algebra generated by gens, the naive way.
+
+    Every ordered pair of spanning matrices is multiplied, so both orders are
+    taken, until a round adds nothing.  The row reduction is its own, not
+    SubspaceBasis; p=None reduces over the rationals.
+    """
+    def to_field(x):
+        return Fraction(int(x)) if p is None else int(x) % p
+
+    echelon = {}                  # pivot column -> row with leading entry 1
+    mats = []
+
+    def insert(m):
+        v = [to_field(x) for x in m.reshape(-1)]
+        for piv in sorted(echelon):
+            c = v[piv]
+            if c:
+                v = [a - c * b for a, b in zip(v, echelon[piv])]
+                if p is not None:
+                    v = [a % p for a in v]
+        nz = [i for i, a in enumerate(v) if a]
+        if not nz:
+            return
+        lead = v[nz[0]]
+        inv = 1 / lead if p is None else pow(lead, p - 2, p)
+        echelon[nz[0]] = [a * inv if p is None else a * inv % p for a in v]
+        mats.append(m)
+
+    def reduce_mod(m):
+        return m if p is None else m % p
+
+    insert(np.eye(n, dtype=object))
+    for g in gens:
+        insert(reduce_mod(np.asarray(g, dtype=object)))
+    while len(mats) < n * n:      # the full matrix space cannot grow
+        before = len(mats)
+        for x in list(mats):
+            for y in list(mats):
+                insert(reduce_mod(x @ y))
+        if len(mats) == before:
+            break
+    return mats
+
+
+@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("p", [97, 1048573, None])
+@given(data=st.data())
+def test_closure_matches_naive_two_sided_closure(p, data):
+    n = data.draw(st.integers(2, 5))
+    count = data.draw(st.integers(1, 3))
+    bit = st.integers(0, 1)
+    gens = [
+        np.array(
+            data.draw(st.lists(st.lists(bit, min_size=n, max_size=n), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        for _ in range(count)
+    ]
+    assume(any(np.any(g != g.T) for g in gens))
+    if count > 1:
+        assume(any(np.any(a @ b != b @ a) for a in gens for b in gens))
+    want = reference_closure(gens, n, p)
+    basis, _ = algebra_closure(gens, n, p, cap=n * n)
+    assert basis.dim == len(want)
+    for m in want:
+        assert basis.contains(m.reshape(-1))
+
+
+def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):
+    _, a1, a2 = _relation_matrices(paley13)
+    masks = idempotents(paley13, 0).masks
+    gens = [a1, a2, np.diag(masks[1]), np.diag(masks[2])]
+    calls = []
+    real_mul = linalg._mul
+
+    def counting_mul(x, y, p):
+        calls.append(1)
+        return real_mul(x, y, p)
+
+    monkeypatch.setattr(linalg, "_mul", counting_mul)
+    basis, _ = algebra_closure(gens, 13, 1048573)
+    assert basis.dim == 21
+    assert len(calls) <= 4 * basis.dim
 
 
 # -- block dimensions ------------------------------------------------------------

@@ -65,6 +65,22 @@ def test_closure_dimensions(petersen, pentagon, grid3, paley13):
     assert t_report(construct(FamilySpec("grid", (2,))))[0] == 10
 
 
+@pytest.mark.parametrize(
+    "tag,params,dim,blocks",
+    [
+        ("paley", (41,), 49, [[1, 1, 1], [1, 11, 11], [1, 11, 11]]),
+        ("paley", (49,), 35, [[1, 1, 1], [1, 8, 7], [1, 7, 8]]),
+        ("paley", (61,), 65, [[1, 1, 1], [1, 15, 15], [1, 15, 15]]),
+        ("peisert", (7, 1), 25, [[1, 1, 1], [1, 6, 4], [1, 4, 6]]),
+        ("o6minus", (3,), 15, [[1, 1, 1], [1, 3, 2], [1, 2, 3]]),
+    ],
+)
+def test_closure_blocks_on_larger_graphs(tag, params, dim, blocks):
+    got_dim, got_blocks = t_report(construct(FamilySpec(tag, params)))
+    assert got_dim == dim
+    assert got_blocks.tolist() == blocks
+
+
 def test_centralizer_dimensions(petersen, paley13):
     gens = automorphism_group(petersen).gens
     dim, blocks = t_tilde_report(petersen, gens)
