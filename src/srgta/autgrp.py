@@ -1,11 +1,18 @@
-"""Graph automorphisms: equitable partition refinement and an
-individualization-refinement backtracking search.
+"""Graph automorphisms and isomorphisms: one individualization-refinement
+search engine (McKay & Piperno, "Practical graph isomorphism II", 2014).
 
 The refinement step is plain 1-dimensional Weisfeiler-Leman; strongly regular
 graphs are exactly the inputs it is weakest on (the unit partition never
-splits), so correctness rests on the backtracking layer.  Pruning uses the
-node trace (cell sizes plus the equitable quotient matrix) and orbits of the
-group found so far, rebuilt incrementally along the first search path.
+splits), so correctness rests on the backtracking layer.  A search walks a
+tree against its first path, the one that always individualizes the least
+vertex of the target cell.  A node whose trace (cell sizes plus the equitable
+quotient matrix) differs from the first path's node at the same depth is
+pruned, and a discrete leaf yields the permutation carrying the first leaf
+onto it.  Refinement, individualization and the target-cell rule are
+isomorphism-invariant, so an isomorphism maps the first path onto a path
+with equal traces whose leaf yields it: the automorphism group and an
+isomorphism test are the same walk.  The automorphism search also prunes by
+orbits of the group found so far, rebuilt incrementally along the first path.
 """
 
 from __future__ import annotations
@@ -30,41 +37,13 @@ _AUT_SIZE_GUARD = 2500
 
 
 class Timeout(Exception):
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial or []
+    """The automorphism search ran past its time budget."""
 
 
 class NotAnAutomorphism(ValueError):
     def __init__(self, msg, line=None):
         super().__init__(f"line {line}: {msg}" if line is not None else msg)
         self.line = line
-
-
-@dataclass(frozen=True)
-class ColoredPartition:
-    cells: tuple[tuple[int, ...], ...]
-    cell_of: tuple[int, ...]
-    quotient: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def is_discrete(self) -> bool:
-        return len(self.cells) == len(self.cell_of)
-
-    def trace(self):
-        return (tuple(len(c) for c in self.cells), self.quotient)
-
-
-def unit_partition(n: int) -> ColoredPartition:
-    return ColoredPartition((tuple(range(n)),), (0,) * n)
-
-
-def _cells_from_ids(ids: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    ncells = int(ids.max()) + 1 if len(ids) else 0
-    cells: list[list[int]] = [[] for _ in range(ncells)]
-    for v, c in enumerate(ids.tolist()):
-        cells[c].append(v)
-    return tuple(tuple(c) for c in cells)
 
 
 def _refine_ids(af: np.ndarray, ids: np.ndarray):
@@ -89,10 +68,68 @@ def _refine_ids(af: np.ndarray, ids: np.ndarray):
         ids = inv.astype(np.int64)
 
 
-def refine(g: Graph, p: ColoredPartition) -> ColoredPartition:
-    af = g.adjacency_dense().astype(np.float64)
-    ids, quotient = _refine_ids(af, np.asarray(p.cell_of, dtype=np.int64))
-    return ColoredPartition(_cells_from_ids(ids), tuple(ids.tolist()), quotient)
+def _individualize(af: np.ndarray, ids: np.ndarray, v: int):
+    """Give v a colour of its own and refine: (ids, quotient) of the child."""
+    out = ids.copy()
+    out[v] = ids.max() + 1
+    return _refine_ids(af, out)
+
+
+def _target_cell(ids: np.ndarray, quotient) -> int | None:
+    """Colour of the first smallest non-singleton cell, None if discrete."""
+    c = len(quotient)
+    if c == len(ids):
+        return None
+    sizes = np.bincount(ids, minlength=c)
+    nonsingleton = np.nonzero(sizes > 1)[0]
+    return int(nonsingleton[np.argmin(sizes[nonsingleton])])
+
+
+def _trace(ids: np.ndarray, quotient):
+    """Cell sizes plus the equitable quotient, as compared across nodes."""
+    return tuple(np.bincount(ids, minlength=len(quotient)).tolist()), quotient
+
+
+def _first_path(af: np.ndarray, ids: np.ndarray, quotient):
+    """The path that always individualizes the least vertex of the target cell.
+
+    Returns (spine, base, leaf): one (ids, trace, target-cell members) per
+    inner node, the individualized vertices, and the vertex in each colour
+    slot of the discrete leaf.
+    """
+    spine, base = [], []
+    while (t := _target_cell(ids, quotient)) is not None:
+        members = np.nonzero(ids == t)[0].tolist()
+        spine.append((ids, _trace(ids, quotient), members))
+        base.append(members[0])
+        ids, quotient = _individualize(af, ids, members[0])
+    return spine, base, np.argsort(ids)
+
+
+def _explore(path, af, ids, quotient, depth, accept, deadline) -> bool:
+    """Walk the tree under a node against the first path, in vertex order.
+
+    Each discrete leaf offers accept() the permutation carrying the first
+    leaf onto it; the walk stops, returning True, once accept() returns True.
+    """
+    if deadline and time.monotonic() > deadline:
+        raise Timeout("search deadline passed")
+    spine, _, leaf = path
+    t = _target_cell(ids, quotient)
+    if t is None:
+        p = np.empty(len(ids), dtype=np.int64)
+        p[leaf] = np.argsort(ids)
+        return accept(tuple(p.tolist()))
+    if depth < len(spine) and _trace(ids, quotient) != spine[depth][1]:
+        return False
+    return any(
+        _explore(path, af, *_individualize(af, ids, v), depth + 1, accept, deadline)
+        for v in np.nonzero(ids == t)[0].tolist()
+    )
+
+
+def _root(af: np.ndarray):
+    return _refine_ids(af, np.zeros(af.shape[0], dtype=np.int64))
 
 
 @dataclass
@@ -102,9 +139,10 @@ class AutResult:
     complete: bool
 
 
-def _is_automorphism(a: np.ndarray, p: Perm) -> bool:
+def _carries(a: np.ndarray, b: np.ndarray, p: Perm) -> bool:
+    """Whether vertex i -> p[i] carries adjacency `a` onto adjacency `b`."""
     idx = np.asarray(p)
-    return np.array_equal(a[idx][:, idx], a)
+    return np.array_equal(b[idx][:, idx], a)
 
 
 def automorphism_group(
@@ -123,40 +161,8 @@ def automorphism_group(
     a = g.adjacency_dense()
     af = a.astype(np.float64)
     deadline = time.monotonic() + timeout if timeout else None
-
-    def refined(ids: np.ndarray):
-        return _refine_ids(af, ids)
-
-    def target_cell(ids: np.ndarray, quotient) -> int | None:
-        """Colour of the first smallest non-singleton cell, None if discrete."""
-        c = len(quotient)
-        if c == n:
-            return None
-        sizes = np.bincount(ids, minlength=c)
-        nonsingleton = np.nonzero(sizes > 1)[0]
-        best = nonsingleton[np.argmin(sizes[nonsingleton])]
-        return int(best)
-
-    def individualize(ids: np.ndarray, v: int) -> np.ndarray:
-        out = ids.copy()
-        out[v] = ids.max() + 1
-        return out
-
-    # descend the first path, always picking the least vertex of the target
-    root_ids, root_q = refined(np.zeros(n, dtype=np.int64))
-    spine: list[tuple[np.ndarray, tuple, list[int], int]] = []
-    ids, quotient = root_ids, root_q
-    spine_base: list[int] = []
-    while True:
-        t = target_cell(ids, quotient)
-        if t is None:
-            break
-        members = np.nonzero(ids == t)[0].tolist()
-        spine.append((ids, (tuple(np.bincount(ids).tolist()), quotient), members, t))
-        v = members[0]
-        spine_base.append(v)
-        ids, quotient = refined(individualize(ids, v))
-    first_sigma = np.argsort(ids)  # vertex occupying each colour slot
+    path = _first_path(af, *_root(af))
+    spine, base, _ = path
 
     found: list[Perm] = []
     chain: GroupBSGS | None = None
@@ -164,7 +170,7 @@ def automorphism_group(
     def group_chain() -> GroupBSGS:
         nonlocal chain
         if chain is None:
-            chain = schreier_sims(found, base_prefix=tuple(spine_base), n=n)
+            chain = schreier_sims(found, base_prefix=tuple(base), n=n)
         return chain
 
     def note_automorphism(p: Perm) -> bool:
@@ -175,52 +181,26 @@ def automorphism_group(
         chain = None
         return True
 
-    class _Done(Exception):
-        """Backjump: an automorphism was found below the current spine node."""
-
-    def explore(ids: np.ndarray, quotient, depth: int):
-        if deadline and time.monotonic() > deadline:
-            raise Timeout(f"automorphism search exceeded {timeout}s", found)
-        t = target_cell(ids, quotient)
-        if t is None:
-            sigma = np.argsort(ids)
-            p = np.empty(n, dtype=np.int64)
-            p[first_sigma] = sigma
-            perm = tuple(p.tolist())
-            if _is_automorphism(a, perm) and note_automorphism(perm):
-                raise _Done()
-            return
-        if depth < len(spine):
-            expected = spine[depth][1]
-            if (tuple(np.bincount(ids, minlength=int(ids.max()) + 1).tolist()), quotient) != expected:
-                return
-        for v in np.nonzero(ids == t)[0].tolist():
-            nids, nquot = refined(individualize(ids, v))
-            explore(nids, nquot, depth + 1)
+    def accept(p: Perm) -> bool:
+        return _carries(a, a, p) and note_automorphism(p)
 
     timed_out = False
     try:
         for d in reversed(range(len(spine))):
-            ids_d, _, members, _t = spine[d]
-            for v in members:
-                if v == spine_base[d]:
-                    continue
+            ids_d, _, members = spine[d]
+            for v in members[1:]:  # members[0] is the first path's own branch
                 if found:
                     stab = group_chain().stabilizer_gens(d)
                     if stab and min(orbit(stab, v)) < v:
                         continue  # an equivalent branch was already explored
-                try:
-                    nids, nquot = refined(individualize(ids_d, v))
-                    explore(nids, nquot, d + 1)
-                except _Done:
-                    continue
+                _explore(path, af, *_individualize(af, ids_d, v), d + 1, accept, deadline)
     except Timeout:
         if not partial_ok:
-            raise
+            raise Timeout(f"automorphism search exceeded {timeout}s") from None
         timed_out = True
 
     for p in found:
-        if not _is_automorphism(a, p):
+        if not _carries(a, a, p):
             raise NotAnAutomorphism("search returned a non-automorphism")
     order = group_chain().order if found else 1
     return AutResult(found, order, not timed_out)
@@ -233,7 +213,7 @@ def import_generators(path, g: Graph) -> list[Perm]:
         raise DegreeMismatch(f"generators have degree {degree}, graph has {g.n}")
     a = g.adjacency_dense()
     for p, lineno in zip(perms, linenos):
-        if not _is_automorphism(a, p):
+        if not _carries(a, a, p):
             raise NotAnAutomorphism("permutation does not preserve adjacency", lineno)
     return perms
 
@@ -241,51 +221,21 @@ def import_generators(path, g: Graph) -> list[Perm]:
 def find_isomorphism(g: Graph, h: Graph) -> Perm | None:
     """A vertex bijection carrying edges of g onto edges of h, if one exists.
 
-    Parallel individualization-refinement; meant for the modest sizes the
-    test corpus uses (isomorphy of constructions, self-complementarity).
+    Walks h's search tree against g's first path; meant for the modest sizes
+    the test corpus uses (isomorphy of constructions, self-complementarity).
     """
     if g.n != h.n or g.n_edges != h.n_edges:
         return None
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return tuple()
-    ag = g.adjacency_dense()
-    ah = h.adjacency_dense()
-    afg = ag.astype(np.float64)
-    afh = ah.astype(np.float64)
+    ag, ah = g.adjacency_dense(), h.adjacency_dense()
+    afg, afh = ag.astype(np.float64), ah.astype(np.float64)
+    found: list[Perm] = []
 
-    def signature(ids, quotient):
-        return (tuple(np.bincount(ids, minlength=int(ids.max()) + 1).tolist()), quotient)
+    def accept(p: Perm) -> bool:
+        if _carries(ag, ah, p):
+            found.append(p)
+        return bool(found)
 
-    def rec(ids_g, quot_g, ids_h, quot_h):
-        if signature(ids_g, quot_g) != signature(ids_h, quot_h):
-            return None
-        c = len(quot_g)
-        if c == n:
-            p = np.empty(n, dtype=np.int64)
-            p[np.argsort(ids_g)] = np.argsort(ids_h)
-            perm = tuple(p.tolist())
-            idx = np.asarray(perm)
-            if np.array_equal(ah[idx][:, idx], ag):
-                return perm
-            return None
-        sizes = np.bincount(ids_g, minlength=c)
-        nonsingleton = np.nonzero(sizes > 1)[0]
-        t = int(nonsingleton[np.argmin(sizes[nonsingleton])])
-        vg = int(np.nonzero(ids_g == t)[0][0])
-        nidsg, nquotg = _refine_ids(afg, _individualized(ids_g, vg))
-        for vh in np.nonzero(ids_h == t)[0].tolist():
-            nidsh, nquoth = _refine_ids(afh, _individualized(ids_h, vh))
-            result = rec(nidsg, nquotg, nidsh, nquoth)
-            if result is not None:
-                return result
-        return None
-
-    def _individualized(ids, v):
-        out = ids.copy()
-        out[v] = ids.max() + 1
-        return out
-
-    ids_g, quot_g = _refine_ids(afg, np.zeros(n, dtype=np.int64))
-    ids_h, quot_h = _refine_ids(afh, np.zeros(n, dtype=np.int64))
-    return rec(ids_g, quot_g, ids_h, quot_h)
+    _explore(_first_path(afg, *_root(afg)), afh, *_root(afh), 0, accept, None)
+    return found[0] if found else None

@@ -84,7 +84,8 @@ class _UnionFind:
             self.count -= 1
 
 
-def orbit_count(gens, n: int) -> int:
+def _orbit_union(gens, n: int) -> _UnionFind:
+    """Union-find whose classes are the orbits of <gens> on n points."""
     d = _check_degrees(gens)
     if d is not None and d != n:
         raise DegreeMismatch(f"generators have degree {d}, expected {n}")
@@ -92,18 +93,16 @@ def orbit_count(gens, n: int) -> int:
     for g in gens:
         for x, y in enumerate(g):
             uf.union(x, y)
-    return uf.count
+    return uf
+
+
+def orbit_count(gens, n: int) -> int:
+    return _orbit_union(gens, n).count
 
 
 def orbits(gens, n: int) -> list[list[int]]:
     """All orbits, each sorted, ordered by least element."""
-    d = _check_degrees(gens)
-    if d is not None and d != n:
-        raise DegreeMismatch(f"generators have degree {d}, expected {n}")
-    uf = _UnionFind(n)
-    for g in gens:
-        for x, y in enumerate(g):
-            uf.union(x, y)
+    uf = _orbit_union(gens, n)
     buckets: dict[int, list[int]] = {}
     for x in range(n):
         buckets.setdefault(uf.find(x), []).append(x)

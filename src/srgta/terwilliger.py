@@ -61,10 +61,6 @@ class InternalDisagreement(RuntimeError):
     """Two independent computations of dim T̃ differ."""
 
 
-class NotTransitive(RuntimeError):
-    pass
-
-
 class _Inconclusive:
     """Sentinel for a spectral cross-check with ambiguous clustering."""
 
@@ -173,8 +169,7 @@ def _agree(results, label: str) -> None:
 
 
 def t_tilde_report(
-    g: Graph, gens, omega: int = 0, require_transitive: bool = False,
-    group: GroupBSGS | None = None,
+    g: Graph, gens, omega: int = 0, group: GroupBSGS | None = None,
 ) -> tuple[int, np.ndarray]:
     """dim and block dimensions of the stabilizer centralizer algebra.
 
@@ -188,9 +183,6 @@ def t_tilde_report(
     cells = idem.part.cells
     if group is None:
         group = schreier_sims(gens, base_prefix=(omega,), n=g.n)
-    transitive, _ = transitivity_rank(group, g.n)
-    if require_transitive and not transitive:
-        raise NotTransitive("generators are not vertex-transitive")
     stab = point_stabilizer(group, omega)
     blocks = np.zeros((3, 3), dtype=np.int64)
     for i in range(3):

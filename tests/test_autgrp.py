@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srgta import autgrp
 from srgta.autgrp import (
     NotAnAutomorphism,
     Timeout,
     automorphism_group,
     find_isomorphism,
     import_generators,
-    refine,
-    unit_partition,
+    _refine_ids,
 )
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import Graph, complement
@@ -46,25 +46,33 @@ def preserves_adjacency(g, p):
 
 # -- refinement ---------------------------------------------------------------
 
+def refined_cells(g, ids=None):
+    """Cells of the engine's equitable refinement, starting from `ids`."""
+    af = g.adjacency_dense().astype(np.float64)
+    start = np.zeros(g.n, dtype=np.int64) if ids is None else ids
+    ids, quotient = _refine_ids(af, start)
+    assert len(quotient) == int(ids.max()) + 1
+    return ids, [np.nonzero(ids == c)[0].tolist() for c in range(len(quotient))]
+
+
 def test_refine_regular_graph_stays_unit(petersen):
-    part = refine(petersen, unit_partition(10))
-    assert len(part.cells) == 1
-    assert part.cells[0] == tuple(range(10))
+    _, cells = refined_cells(petersen)
+    assert cells == [list(range(10))]
 
 
 def test_refine_splits_path_by_degree():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    part = refine(p3, unit_partition(3))
-    assert sorted(map(sorted, part.cells)) == [[0, 2], [1]]
-    assert not part.is_discrete
+    _, cells = refined_cells(p3)
+    assert sorted(cells) == [[0, 2], [1]]
+    assert len(cells) < 3  # not discrete
 
 
 def test_refine_separates_twin_free_graph():
     # a path on 4 vertices refines to singletons only partially: the two
     # ends stay together, as do the two middles
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    part = refine(p4, unit_partition(4))
-    assert sorted(map(sorted, part.cells)) == [[0, 3], [1, 2]]
+    _, cells = refined_cells(p4)
+    assert sorted(cells) == [[0, 3], [1, 2]]
 
 
 @settings(max_examples=60)
@@ -73,9 +81,9 @@ def test_refine_idempotent(n, data):
     pairs = list(combinations(range(n), 2))
     edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     g = Graph.from_edges(n, edges)
-    once = refine(g, unit_partition(n))
-    twice = refine(g, once)
-    assert once.cells == twice.cells
+    once_ids, once = refined_cells(g)
+    _, twice = refined_cells(g, once_ids)
+    assert once == twice
 
 
 # -- the search, cross-checked against brute force ------------------------------
@@ -233,3 +241,67 @@ def test_find_isomorphism_distinguishes(petersen, grid3):
     assert find_isomorphism(c6, prism) is None  # both 6 vertices, prism has 9 edges
     k33 = construct(FamilySpec("multipartite", (2, 3)))
     assert find_isomorphism(k33, prism) is None  # both 3-regular on 6 vertices
+
+
+def random_graph(data, n, n_edges=None):
+    pairs = list(combinations(range(n), 2))
+    if n_edges is None:
+        return Graph.from_edges(n, data.draw(st.sets(st.sampled_from(pairs))) if pairs else set())
+    chosen = data.draw(st.permutations(pairs))[:n_edges]
+    return Graph.from_edges(n, chosen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_find_isomorphism_of_relabelled_random_graph(n, data):
+    g = random_graph(data, n)
+    relabel = data.draw(st.permutations(range(n)))
+    h = Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in g.edges()])
+    iso = find_isomorphism(g, h)
+    assert iso is not None
+    assert sorted(iso) == list(range(n))
+    idx = np.asarray(iso)
+    assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
+    # the first path is its own image, so g maps onto itself by the identity
+    assert find_isomorphism(g, g) == tuple(range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_find_isomorphism_none_iff_brute_force_finds_none(n, data):
+    n_edges = data.draw(st.integers(0, n * (n - 1) // 2))
+    g, h = random_graph(data, n, n_edges), random_graph(data, n, n_edges)
+    ag, ah = g.adjacency_dense(), h.adjacency_dense()
+    exists = any(np.array_equal(ah[np.ix_(p, p)], ag) for p in permutations(range(n)))
+    iso = find_isomorphism(g, h)
+    assert (iso is not None) == exists
+    if iso is not None:
+        idx = np.asarray(iso)
+        assert np.array_equal(ah[idx][:, idx], ag)
+
+
+def test_find_isomorphism_searches_past_failed_leaves(monkeypatch):
+    # LS3(5) of a Latin square with a small group: 1-WL plus individualization
+    # reaches leaves of h whose traces match g's first path but which are not
+    # isomorphisms, so the walk must go on past them
+    square = np.array([[0, 2, 1, 3, 4], [3, 4, 0, 1, 2], [4, 1, 3, 2, 0],
+                       [2, 3, 4, 0, 1], [1, 0, 2, 4, 3]])
+    cells = [(r, c, square[r, c]) for r in range(5) for c in range(5)]
+    g = Graph.from_edges(25, [(u, v) for u, v in combinations(range(25), 2)
+                              if any(x == y for x, y in zip(cells[u], cells[v]))])
+    leaves = []
+    carries = autgrp._carries
+
+    def counted(a, b, p):
+        leaves.append(p)
+        return carries(a, b, p)
+
+    monkeypatch.setattr(autgrp, "_carries", counted)
+    for seed in range(3):
+        relabel = np.random.default_rng(seed).permutation(25)
+        h = Graph.from_edges(25, [(int(relabel[u]), int(relabel[v])) for u, v in g.edges()])
+        leaves.clear()
+        iso = find_isomorphism(g, h)
+        assert iso is not None and len(leaves) > 1
+        idx = np.asarray(iso)
+        assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
