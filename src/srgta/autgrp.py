@@ -13,6 +13,10 @@ isomorphism-invariant, so an isomorphism maps the first path onto a path
 with equal traces whose leaf yields it: the automorphism group and an
 isomorphism test are the same walk.  The automorphism search also prunes by
 orbits of the group found so far, rebuilt incrementally along the first path.
+
+Each refinement round is one matrix product for the neighbour counts per
+colour and one sort of the vertices' packed (colour, counts) keys, with no
+loop over colours.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactmath import check_guard
+from .exactmath import SizeGuardExceeded, check_guard
 from .graphcore import Graph
 from .permgroup import (
     GroupBSGS,
@@ -51,21 +55,31 @@ def _refine_ids(af: np.ndarray, ids: np.ndarray):
 
     New colours are ordered by (old colour, neighbour-count profile), which
     keeps the result a refinement of the input and makes it deterministic.
-    Returns (ids, quotient rows).
+    Each round packs that key as one row of big-endian uint16 per vertex, so
+    a bytewise sort of the rows is the numeric lexicographic order; colours
+    and counts are below n, so n may not pass 2**16 even when the size guard
+    is lifted.  Returns (ids, quotient rows).
     """
     n = af.shape[0]
+    if n > 2**16:
+        raise SizeGuardExceeded(f"refinement order: {n} exceeds the uint16 key range")
     while True:
         c = int(ids.max()) + 1
         onehot = np.zeros((n, c))
         onehot[np.arange(n), ids] = 1.0
-        counts = (af @ onehot).astype(np.int64)
-        mat = np.column_stack([ids, counts])
-        uniq, inv = np.unique(mat, axis=0, return_inverse=True)
-        if len(uniq) == c:
-            reps = [np.nonzero(ids == i)[0][0] for i in range(c)]
-            quotient = tuple(tuple(counts[r].tolist()) for r in reps)
-            return ids, quotient
-        ids = inv.astype(np.int64)
+        keys = np.empty((n, c + 1), dtype=">u2")
+        keys[:, 0] = ids
+        keys[:, 1:] = af @ onehot
+        rows = keys.view(np.dtype((np.void, keys.itemsize * (c + 1)))).ravel()
+        order = np.argsort(rows, kind="stable")
+        s = keys[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = np.any(s[1:] != s[:-1], axis=1)
+        if np.count_nonzero(new) == c:
+            # equitable: every vertex of a cell has the same row
+            return ids, tuple(map(tuple, s[new, 1:].tolist()))
+        ids = np.empty(n, dtype=np.int64)
+        ids[order] = np.cumsum(new) - 1
 
 
 def _individualize(af: np.ndarray, ids: np.ndarray, v: int):

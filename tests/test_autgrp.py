@@ -13,8 +13,11 @@ from srgta.autgrp import (
     automorphism_group,
     find_isomorphism,
     import_generators,
+    _AUT_SIZE_GUARD,
     _refine_ids,
 )
+from srgta.classifier import triple_transitivity_verdict
+from srgta.exactmath import SizeGuardExceeded
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import Graph, complement
 from srgta.permgroup import (
@@ -73,6 +76,67 @@ def test_refine_separates_twin_free_graph():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     _, cells = refined_cells(p4)
     assert sorted(cells) == [[0, 3], [1, 2]]
+
+
+def _refine_ids_reference(af, ids):
+    """The refinement as first written, with np.unique over (colour, counts) rows."""
+    n = af.shape[0]
+    while True:
+        c = int(ids.max()) + 1
+        onehot = np.zeros((n, c))
+        onehot[np.arange(n), ids] = 1.0
+        counts = (af @ onehot).astype(np.int64)
+        mat = np.column_stack([ids, counts])
+        uniq, inv = np.unique(mat, axis=0, return_inverse=True)
+        if len(uniq) == c:
+            reps = [np.nonzero(ids == i)[0][0] for i in range(c)]
+            quotient = tuple(tuple(counts[r].tolist()) for r in reps)
+            return ids, quotient
+        ids = inv.astype(np.int64)
+
+
+def assert_refines_as_reference(g, ids):
+    af = g.adjacency_dense().astype(np.float64)
+    got_ids, got_quotient = _refine_ids(af, ids.copy())
+    want_ids, want_quotient = _refine_ids_reference(af, ids.copy())
+    assert got_ids.dtype == want_ids.dtype
+    assert np.array_equal(got_ids, want_ids)
+    assert got_quotient == want_quotient
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_refine_matches_reference(n, data):
+    g = random_graph(data, n)
+    k = data.draw(st.integers(1, n))
+    # surjective onto 0..k-1: each colour once, then arbitrary colours, shuffled
+    rest = data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    ids = np.array(data.draw(st.permutations(list(range(k)) + rest)), dtype=np.int64)
+    assert_refines_as_reference(g, ids)
+
+
+def test_refine_matches_reference_past_one_byte():
+    # colours, degrees and counts above 255: a one-byte or little-endian key
+    # would sort these rows out of numeric order
+    assert _AUT_SIZE_GUARD < 2**16  # the default guard keeps searches in the key range
+    n = 300
+    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    # the first 260 vertices individualized; the rest of the path then
+    # splits off one vertex per round, colours 256 and up
+    assert_refines_as_reference(path, np.minimum(np.arange(n), 260))
+    matching = complement(Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+    for picked in ([0], [0, 5], [0, 3, 17, 200]):
+        ids = np.zeros(n, dtype=np.int64)
+        ids[picked] = np.arange(1, len(picked) + 1)
+        assert_refines_as_reference(matching, ids)
+    # a cell of 257 vertices that splits the pair (256, 257): counts 255 and 256
+    assert_refines_as_reference(matching, (np.arange(n) > 256).astype(np.int64))
+
+
+def test_refine_rejects_orders_past_the_key_range():
+    n = 2**16 + 1
+    with pytest.raises(SizeGuardExceeded):
+        _refine_ids(np.zeros((n, 0)), np.zeros(n, dtype=np.int64))
 
 
 @settings(max_examples=60)
@@ -280,15 +344,22 @@ def test_find_isomorphism_none_iff_brute_force_finds_none(n, data):
         assert np.array_equal(ah[idx][:, idx], ag)
 
 
+def latin_square_graph(square, relabel):
+    """LS3 of `square`, cell (r, c) = vertex r*n + c sent to vertex relabel[r*n + c]."""
+    n = len(square)
+    cells = [(r, c, square[r][c]) for r in range(n) for c in range(n)]
+    edges = [(relabel[u], relabel[v]) for u, v in combinations(range(n * n), 2)
+             if any(x == y for x, y in zip(cells[u], cells[v]))]
+    return Graph.from_edges(n * n, edges)
+
+
 def test_find_isomorphism_searches_past_failed_leaves(monkeypatch):
     # LS3(5) of a Latin square with a small group: 1-WL plus individualization
     # reaches leaves of h whose traces match g's first path but which are not
     # isomorphisms, so the walk must go on past them
-    square = np.array([[0, 2, 1, 3, 4], [3, 4, 0, 1, 2], [4, 1, 3, 2, 0],
-                       [2, 3, 4, 0, 1], [1, 0, 2, 4, 3]])
-    cells = [(r, c, square[r, c]) for r in range(5) for c in range(5)]
-    g = Graph.from_edges(25, [(u, v) for u, v in combinations(range(25), 2)
-                              if any(x == y for x, y in zip(cells[u], cells[v]))])
+    square = [[0, 2, 1, 3, 4], [3, 4, 0, 1, 2], [4, 1, 3, 2, 0],
+              [2, 3, 4, 0, 1], [1, 0, 2, 4, 3]]
+    g = latin_square_graph(square, range(25))
     leaves = []
     carries = autgrp._carries
 
@@ -298,10 +369,41 @@ def test_find_isomorphism_searches_past_failed_leaves(monkeypatch):
 
     monkeypatch.setattr(autgrp, "_carries", counted)
     for seed in range(3):
-        relabel = np.random.default_rng(seed).permutation(25)
-        h = Graph.from_edges(25, [(int(relabel[u]), int(relabel[v])) for u, v in g.edges()])
+        h = latin_square_graph(square, np.random.default_rng(seed).permutation(25).tolist())
         leaves.clear()
         iso = find_isomorphism(g, h)
         assert iso is not None and len(leaves) > 1
         idx = np.asarray(iso)
         assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
+
+
+# -- a rigid strongly regular graph ---------------------------------------------
+
+# the order-7 Latin square of `python3 perfbench/latin.py --order 7 --seed 2`;
+# its Latin square graph LS3(7) is srg(49, 18, 7, 6) with a trivial group
+RIGID_SQUARE = [
+    [3, 5, 0, 1, 2, 4, 6],
+    [4, 0, 6, 2, 1, 5, 3],
+    [2, 3, 4, 6, 5, 1, 0],
+    [1, 4, 2, 3, 6, 0, 5],
+    [0, 6, 5, 4, 3, 2, 1],
+    [6, 2, 1, 5, 0, 3, 4],
+    [5, 1, 3, 0, 4, 6, 2],
+]
+
+
+def test_rigid_latin_square_graph_search_and_verdict():
+    labellings = []
+    for seed in (1, 2):
+        rest = np.random.default_rng(seed).permutation(np.arange(1, 49))
+        labellings.append(latin_square_graph(RIGID_SQUARE, [0, *rest.tolist()]))
+    for g in labellings:
+        res = automorphism_group(g)
+        assert res.complete and res.order == 1 and res.gens == []
+        report = triple_transitivity_verdict(g, gens=res.gens)
+        assert (report.dims["t0"], report.dims["t"], report.dims["t_tilde"]) == (15, 37, 2401)
+    g, h = labellings
+    iso = find_isomorphism(g, h)
+    assert iso is not None
+    idx = np.asarray(iso)
+    assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
