@@ -12,7 +12,8 @@ onto it.  Refinement, individualization and the target-cell rule are
 isomorphism-invariant, so an isomorphism maps the first path onto a path
 with equal traces whose leaf yields it: the automorphism group and an
 isomorphism test are the same walk.  The automorphism search also prunes by
-orbits of the group found so far, rebuilt incrementally along the first path.
+orbits of the group found so far, read off one stabilizer chain that each
+new generator extends.
 
 Each refinement round is one matrix product for the neighbour counts per
 colour and one sort of the vertices' packed (colour, counts) keys, with no
@@ -148,9 +149,16 @@ def _root(af: np.ndarray):
 
 @dataclass
 class AutResult:
+    """Generators found, the stabilizer chain of the group they generate
+    (based along the search's first path), and whether the search finished."""
+
     gens: list[Perm]
-    order: int
+    group: GroupBSGS
     complete: bool
+
+    @property
+    def order(self) -> int:
+        return self.group.order
 
 
 def _carries(a: np.ndarray, b: np.ndarray, p: Perm) -> bool:
@@ -162,8 +170,10 @@ def _carries(a: np.ndarray, b: np.ndarray, p: Perm) -> bool:
 def automorphism_group(
     g: Graph, timeout: float = 300.0, partial_ok: bool = False
 ) -> AutResult:
-    """Generators of Aut(g) with its exact order.
+    """Generators of Aut(g) with its exact order and stabilizer chain.
 
+    The chain starts trivial on the first path's base and is extended by
+    each new generator, so the search prunes with it and hands it on.
     Raises Timeout after `timeout` seconds unless partial_ok, in which case
     the generators found so far come back with complete=False (their group is
     then only a lower bound for the full automorphism group).
@@ -171,7 +181,7 @@ def automorphism_group(
     check_guard(g.n, _AUT_SIZE_GUARD, "automorphism search order")
     n = g.n
     if n == 0:
-        return AutResult([], 1, True)
+        return AutResult([], schreier_sims([], n=0), True)
     a = g.adjacency_dense()
     af = a.astype(np.float64)
     deadline = time.monotonic() + timeout if timeout else None
@@ -179,34 +189,24 @@ def automorphism_group(
     spine, base, _ = path
 
     found: list[Perm] = []
-    chain: GroupBSGS | None = None
-
-    def group_chain() -> GroupBSGS:
-        nonlocal chain
-        if chain is None:
-            chain = schreier_sims(found, base_prefix=tuple(base), n=n)
-        return chain
-
-    def note_automorphism(p: Perm) -> bool:
-        nonlocal chain
-        if found and group_chain().contains(p):
-            return False
-        found.append(p)
-        chain = None
-        return True
+    chain = schreier_sims([], base_prefix=tuple(base), n=n)
 
     def accept(p: Perm) -> bool:
-        return _carries(a, a, p) and note_automorphism(p)
+        nonlocal chain
+        if not _carries(a, a, p) or chain.contains(p):
+            return False
+        found.append(p)
+        chain = schreier_sims(chain.strong_gens + (p,), base_prefix=tuple(base), n=n)
+        return True
 
     timed_out = False
     try:
         for d in reversed(range(len(spine))):
             ids_d, _, members = spine[d]
             for v in members[1:]:  # members[0] is the first path's own branch
-                if found:
-                    stab = group_chain().stabilizer_gens(d)
-                    if stab and min(orbit(stab, v)) < v:
-                        continue  # an equivalent branch was already explored
+                stab = chain.stabilizer_gens(d)
+                if stab and min(orbit(stab, v)) < v:
+                    continue  # an equivalent branch was already explored
                 _explore(path, af, *_individualize(af, ids_d, v), d + 1, accept, deadline)
     except Timeout:
         if not partial_ok:
@@ -216,8 +216,7 @@ def automorphism_group(
     for p in found:
         if not _carries(a, a, p):
             raise NotAnAutomorphism("search returned a non-automorphism")
-    order = group_chain().order if found else 1
-    return AutResult(found, order, not timed_out)
+    return AutResult(found, chain, not timed_out)
 
 
 def import_generators(path, g: Graph) -> list[Perm]:

@@ -336,17 +336,18 @@ def triple_transitivity_verdict(
     primes=DEFAULT_PRIMES,
     rational: bool = False,
 ) -> AlgebraReport:
-    """Full pipeline at base vertex 0: automorphism group (computed unless
+    """Full pipeline at base vertex 0: automorphism group (searched unless
     generators are supplied), the three algebra dimensions, and the verdict
-    transitive ∧ rank 3 ∧ dim T₀ = dim T = dim T̃."""
+    transitive ∧ rank 3 ∧ dim T₀ = dim T = dim T̃.
+
+    A searched group's chain is used as it is: the unit partition of a
+    regular graph is equitable, so the search's base starts at vertex 0."""
     require_srg(g)
     if gens is None:
         found = automorphism_group(g, timeout=timeout, partial_ok=True)
-        gens_list, complete = found.gens, found.complete
+        group, complete = found.group, found.complete
     else:
-        gens_list, complete = list(gens), True
-    group = schreier_sims(gens_list, base_prefix=(0,), n=g.n)
+        group, complete = schreier_sims(list(gens), base_prefix=(0,), n=g.n), True
     return analyze_vertex(
-        g, gens_list, group, 0,
-        primes=primes, rational=rational, aut_complete=complete,
+        g, group, 0, primes=primes, rational=rational, aut_complete=complete,
     )

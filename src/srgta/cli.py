@@ -114,12 +114,12 @@ def _scalar_primes(args) -> tuple:
     return DEFAULT_PRIMES
 
 
-def _load_gens(args, g):
-    """Generators plus completeness flag, from a file or from the search."""
+def _load_group(args, g):
+    """Stabilizer chain plus completeness flag, from a file or from the search."""
     if getattr(args, "gens", None):
-        return import_generators(args.gens, g), True
+        return schreier_sims(import_generators(args.gens, g), base_prefix=(0,), n=g.n), True
     res = automorphism_group(g, timeout=args.timeout)
-    return res.gens, res.complete
+    return res.group, res.complete
 
 
 # -- construct ---------------------------------------------------------------
@@ -160,14 +160,14 @@ def cmd_analyze(args) -> int:
     g = read_graph(args.file)
     require_srg(g)
     primes = _scalar_primes(args)
-    gens, complete = _load_gens(args, g)
+    group, complete = _load_group(args, g)
     if args.all_vertices:
-        reps = sorted(min(o) for o in orbits(gens, g.n))
+        reps = sorted(min(o) for o in orbits(group.strong_gens, g.n))
     else:
         reps = [0]
     reports = [
         analyze_vertex(
-            g, gens, schreier_sims(gens, base_prefix=(omega,), n=g.n), omega,
+            g, group, omega,
             primes=primes, rational=args.rational, aut_complete=complete,
         )
         for omega in reps
@@ -269,10 +269,9 @@ def _row_timeout(ctx, slow: bool) -> float:
     return 600.0 if slow else 300.0
 
 
-def row_dims(payload, ctx):
-    spec, dims, blocks, verdict, aut_order, slow = payload
-    g = _build(spec)
-    report = triple_transitivity_verdict(g, timeout=_row_timeout(ctx, slow))
+def _dim_problems(report, dims, blocks) -> list[str]:
+    """Mismatches of the (t0, t, t_tilde) dims and the t_tilde blocks; a None
+    dim or None blocks is not checked."""
     problems = []
     got = (report.dims["t0"], report.dims["t"], report.dims["t_tilde"])
     for label, want, have in zip(("t0", "t", "t_tilde"), dims, got):
@@ -282,6 +281,14 @@ def row_dims(payload, ctx):
         want_blocks = [list(r) for r in blocks]
         if report.blocks["t_tilde"] != want_blocks:
             problems.append(f"t_tilde blocks {report.blocks['t_tilde']} != {want_blocks}")
+    return problems
+
+
+def row_dims(payload, ctx):
+    spec, dims, blocks, verdict, aut_order, slow = payload
+    g = _build(spec)
+    report = triple_transitivity_verdict(g, timeout=_row_timeout(ctx, slow))
+    problems = _dim_problems(report, dims, blocks)
     if verdict != "skip" and report.verdicts["triply_transitive"] != verdict:
         problems.append(
             f"verdict {report.verdicts['triply_transitive']} != {verdict}"
@@ -388,16 +395,7 @@ def row_import(payload, ctx):
     if os.path.exists(gen_path):
         gens = import_generators(gen_path, g)
     report = triple_transitivity_verdict(g, gens=gens, timeout=_row_timeout(ctx, True))
-    problems = []
-    got = (report.dims["t0"], report.dims["t"], report.dims["t_tilde"])
-    for label, want, have in zip(("t0", "t", "t_tilde"), dims, got):
-        if want != have:
-            problems.append(f"dim {label} {have} != {want}")
-    if blocks is not None:
-        want_blocks = [list(r) for r in blocks]
-        if report.blocks["t_tilde"] != want_blocks:
-            problems.append(f"t_tilde blocks {report.blocks['t_tilde']} != {want_blocks}")
-    return "; ".join(problems) or None
+    return "; ".join(_dim_problems(report, dims, blocks)) or None
 
 
 _ROW_FUNCS = {

@@ -238,13 +238,19 @@ def schreier_sims(gens, base_prefix=(), n: int | None = None) -> GroupBSGS:
         strong.append(new_residue)
 
 
-def point_stabilizer(group: GroupBSGS, omega: int) -> list[Perm]:
-    """Generators of G_omega, read off a chain whose base starts at omega."""
+def based_at(group: GroupBSGS, omega: int) -> GroupBSGS:
+    """A chain of the same group whose base starts at omega: `group` itself
+    if its base already does, otherwise one rebuilt from its strong generators."""
     if not (0 <= omega < group.n):
         raise VertexOutOfRange(f"vertex {omega} outside 0..{group.n - 1}")
-    if group.base[:1] != (omega,):
-        group = schreier_sims(group.strong_gens, base_prefix=(omega,), n=group.n)
-    return group.stabilizer_gens(1)
+    if group.base[:1] == (omega,):
+        return group
+    return schreier_sims(group.strong_gens, base_prefix=(omega,), n=group.n)
+
+
+def point_stabilizer(group: GroupBSGS, omega: int) -> list[Perm]:
+    """Generators of G_omega, read off a chain whose base starts at omega."""
+    return based_at(group, omega).stabilizer_gens(1)
 
 
 def two_point_stabilizer(group: GroupBSGS, omega: int, omega2: int) -> list[Perm]:

@@ -41,11 +41,10 @@ from .linalg import (
 )
 from .permgroup import (
     GroupBSGS,
+    based_at,
     orbit_count,
     orbital_count_block,
     orbits,
-    point_stabilizer,
-    schreier_sims,
     transitivity_rank,
     two_point_stabilizer,
 )
@@ -168,22 +167,20 @@ def _agree(results, label: str) -> None:
             raise PrimeDisagreement(f"{label} block dimensions differ across primes")
 
 
-def t_tilde_report(
-    g: Graph, gens, omega: int = 0, group: GroupBSGS | None = None,
-) -> tuple[int, np.ndarray]:
+def t_tilde_report(g: Graph, group: GroupBSGS, omega: int = 0) -> tuple[int, np.ndarray]:
     """dim and block dimensions of the stabilizer centralizer algebra.
 
     The dimension is the orbital count of G_ω, computed two independent
     ways: nine per-block orbit counts on Δᵢ×Δⱼ, and a sum over G_ω-orbit
     representatives x of the orbit count of the two-point stabilizer
-    G_ω ∩ G_x.  Disagreement raises InternalDisagreement.
+    G_ω ∩ G_x.  Disagreement raises InternalDisagreement.  `group` is
+    rebased at ω once, only if its base does not already start there.
     """
     require_srg(g)
     idem = idempotents(g, omega)
     cells = idem.part.cells
-    if group is None:
-        group = schreier_sims(gens, base_prefix=(omega,), n=g.n)
-    stab = point_stabilizer(group, omega)
+    group = based_at(group, omega)
+    stab = group.stabilizer_gens(1)
     blocks = np.zeros((3, 3), dtype=np.int64)
     for i in range(3):
         for j in range(3):
@@ -315,18 +312,18 @@ class AlgebraReport:
 
 def analyze_vertex(
     g: Graph,
-    gens,
     group: GroupBSGS,
     omega: int,
     primes=DEFAULT_PRIMES,
     rational: bool = False,
     aut_complete: bool = True,
 ) -> AlgebraReport:
-    """Assemble the three reports and verdicts for one base vertex."""
+    """Assemble the three reports and verdicts for one base vertex; `group`
+    is the automorphism group's stabilizer chain, on any base."""
     params = require_srg(g)
     dim0, blocks0 = t0_report(g, omega, primes, rational)
     dim1, blocks1 = t_report(g, omega, primes, rational)
-    dim2, blocks2 = t_tilde_report(g, gens, omega, group=group)
+    dim2, blocks2 = t_tilde_report(g, group, omega)
     transitive, rank = transitivity_rank(group, g.n)
     rank3 = bool(transitive and rank == 3)
     equality = dim0 == dim1 == dim2

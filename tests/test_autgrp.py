@@ -407,3 +407,15 @@ def test_rigid_latin_square_graph_search_and_verdict():
     assert iso is not None
     idx = np.asarray(iso)
     assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
+
+
+@pytest.mark.parametrize("which", ["petersen", "paley13", "rigid_ls3_7"])
+def test_search_returns_a_chain_of_exactly_its_generators(which, request):
+    if which == "rigid_ls3_7":
+        g = latin_square_graph(RIGID_SQUARE, range(49))
+    else:
+        g = request.getfixturevalue(which)
+    res = automorphism_group(g)
+    assert res.order == res.group.order == schreier_sims(res.gens, n=g.n).order
+    assert all(res.group.contains(p) for p in res.gens)
+    assert res.group.base[0] == 0

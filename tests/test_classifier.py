@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srgta import classifier, graphcore, permgroup, terwilliger
+from srgta import autgrp, classifier, graphcore, permgroup, terwilliger
 from srgta.classifier import (
     InconsistentParams,
     KreinReport,
@@ -280,9 +280,10 @@ def test_verdict_checks_srg_once_and_builds_one_full_chain(monkeypatch):
         return chain
 
     monkeypatch.setattr(graphcore, "is_strongly_regular", counted_check)
-    # the search in autgrp keeps its own binding and is not counted
-    for module in (permgroup, terwilliger, classifier):
-        monkeypatch.setattr(module, "schreier_sims", counted_chain)
+    # every binding is counted, the search's in autgrp included
+    for module in (autgrp, classifier, permgroup, terwilliger):
+        if getattr(module, "schreier_sims", None) is real_chain:
+            monkeypatch.setattr(module, "schreier_sims", counted_chain)
     report = triple_transitivity_verdict(g)
     assert report.aut_order == 78
     assert srg_checks == [g]

@@ -29,7 +29,7 @@ from srgta.terwilliger import (
 def full_report(g, timeout=300.0, rational=False):
     res = automorphism_group(g, timeout=timeout)
     group = schreier_sims(res.gens, n=g.n)
-    return analyze_vertex(g, res.gens, group, 0, rational=rational)
+    return analyze_vertex(g, group, 0, rational=rational)
 
 
 def test_idempotent_traces(petersen):
@@ -81,19 +81,19 @@ def test_closure_blocks_on_larger_graphs(tag, params, dim, blocks):
 
 
 def test_centralizer_dimensions(petersen, paley13):
-    gens = automorphism_group(petersen).gens
-    dim, blocks = t_tilde_report(petersen, gens)
+    group = schreier_sims(automorphism_group(petersen).gens, n=10)
+    dim, blocks = t_tilde_report(petersen, group)
     assert dim == 15
     assert blocks.tolist() == [[1, 1, 1], [1, 2, 2], [1, 2, 4]]
 
-    gens = automorphism_group(paley13).gens
-    dim, blocks = t_tilde_report(paley13, gens)
+    group = schreier_sims(automorphism_group(paley13).gens, n=13)
+    dim, blocks = t_tilde_report(paley13, group)
     assert dim == 29
     assert blocks.tolist() == [[1, 1, 1], [1, 6, 6], [1, 6, 6]]
 
 
 def test_centralizer_with_trivial_group_is_full_matrix_space(petersen):
-    dim, blocks = t_tilde_report(petersen, [])
+    dim, blocks = t_tilde_report(petersen, schreier_sims([], n=10))
     assert dim == 100
     assert blocks.tolist() == [[1, 3, 6], [3, 9, 18], [6, 18, 36]]
 
@@ -167,14 +167,14 @@ def test_report_validates_dimension_chain():
 def test_incomplete_group_only_lower_bounds(petersen):
     res = automorphism_group(petersen)
     group = schreier_sims(res.gens, n=10)
-    report = analyze_vertex(petersen, res.gens, group, 0, aut_complete=False)
+    report = analyze_vertex(petersen, group, 0, aut_complete=False)
     assert "aut_lower_bound_only" in report.flags
     assert report.verdicts["triply_transitive"] is None
 
 
 def test_intransitive_group_gives_unknown_verdict(petersen):
     group = schreier_sims([], n=10)
-    report = analyze_vertex(petersen, [], group, 0)
+    report = analyze_vertex(petersen, group, 0)
     assert report.verdicts["triply_transitive"] is None
     assert "case_b_candidate" in report.flags
 
