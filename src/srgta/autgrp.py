@@ -33,7 +33,7 @@ from .permgroup import (
     GroupBSGS,
     Perm,
     DegreeMismatch,
-    orbit,
+    extend,
     read_generators,
     schreier_sims,
 )
@@ -196,16 +196,18 @@ def automorphism_group(
         if not _carries(a, a, p) or chain.contains(p):
             return False
         found.append(p)
-        chain = schreier_sims(chain.strong_gens + (p,), base_prefix=tuple(base), n=n)
+        chain = extend(chain, p)
         return True
 
     timed_out = False
     try:
         for d in reversed(range(len(spine))):
             ids_d, _, members = spine[d]
+            labelled = None
             for v in members[1:]:  # members[0] is the first path's own branch
-                stab = chain.stabilizer_gens(d)
-                if stab and min(orbit(stab, v)) < v:
+                if labelled is not chain:  # orbits of G_(base[:d]), once per chain
+                    labelled, labels = chain, chain.orbit_labels(d)
+                if labels[v] < v:
                     continue  # an equivalent branch was already explored
                 _explore(path, af, *_individualize(af, ids_d, v), d + 1, accept, deadline)
     except Timeout:

@@ -465,17 +465,17 @@ _ROWS: tuple = (
     ("witness_grassmann_2_4", "witness", (("grassmann", (2, 4)), (4, 8))),
     ("witness_bilinear_2_3", "witness", (("bilinear", (2, 3)), (5, 1))),
     ("conjecture_o6minus_2", "dims", (
-        ("o6minus", (2,)), (15, 15, 15), None, True, None, False)),
+        ("o6minus", (2,)), (15, 15, 15), None, True, 51840, False)),
     ("conjecture_o6minus_3", "dims", (
-        ("o6minus", (3,)), (15, 15, 15), None, True, None, True)),
+        ("o6minus", (3,)), (15, 15, 15), None, True, 26127360, True)),
     ("conjecture_vo_plus_2", "dims", (
-        ("vo", (1, 2, 2)), (None, None, None), None, True, None, False)),
+        ("vo", (1, 2, 2)), (None, None, None), None, True, 1152, False)),
     ("conjecture_vo_plus_3", "dims", (
-        ("vo", (1, 3, 2)), (None, None, None), None, True, None, True)),
+        ("vo", (1, 3, 2)), (None, None, None), None, True, 2580480, True)),
     ("conjecture_vo_minus_2", "dims", (
-        ("vo", (-1, 2, 2)), (None, None, None), None, True, None, False)),
+        ("vo", (-1, 2, 2)), (None, None, None), None, True, 1920, False)),
     ("conjecture_vo_minus_3", "dims", (
-        ("vo", (-1, 3, 2)), (None, None, None), None, True, None, True)),
+        ("vo", (-1, 3, 2)), (None, None, None), None, True, 3317760, True)),
     ("cliqueext_petersen", "cliqueext", (
         ("complement", ("johnson", (5,))), (2, 3), False)),
     ("cliqueext_paley13", "cliqueext", (("paley", (13,)), (2, 3), False)),

@@ -231,6 +231,47 @@ def test_reproduce_import_rows_skip_without_directory(capsys):
     assert all(line.startswith("SKIP import_") for line in lines[:-1])
 
 
+def _pgammau4_order(q: int) -> int:
+    """|PΓU(4,q)| = 2e q^6 (q^2-1)(q^3+1)(q^4-1) for q = p^e."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 1
+    while p**e != q:
+        e += 1
+    return 2 * e * q**6 * (q**2 - 1) * (q**3 + 1) * (q**4 - 1)
+
+
+def _affine_orthogonal_order(eps: int, m: int, q: int) -> int:
+    """q^{2m} |O^eps_{2m}(q)|, with |O^eps_{2m}(q)| =
+    2 q^{m(m-1)} (q^m - eps) prod_{i<m} (q^{2i} - 1)."""
+    o = 2 * q ** (m * (m - 1)) * (q**m - eps)
+    for i in range(1, m):
+        o *= q ** (2 * i) - 1
+    return q ** (2 * m) * o
+
+
+def test_conjecture_rows_pin_classical_group_orders():
+    pinned = {}
+    for name, kind, payload in srgta.cli._ROWS:
+        if name.startswith("conjecture_"):
+            assert kind == "dims"
+            (family, params), aut_order = payload[0], payload[4]
+            if family == "o6minus":
+                pinned[name] = (aut_order, _pgammau4_order(*params))
+            else:
+                assert family == "vo"
+                pinned[name] = (aut_order, _affine_orthogonal_order(*params))
+    assert len(pinned) == 6
+    assert all(aut_order == formula for aut_order, formula in pinned.values())
+    assert {name: formula for name, (_, formula) in pinned.items()} == {
+        "conjecture_o6minus_2": 51_840,
+        "conjecture_o6minus_3": 26_127_360,
+        "conjecture_vo_plus_2": 1_152,
+        "conjecture_vo_plus_3": 2_580_480,
+        "conjecture_vo_minus_2": 1_920,
+        "conjecture_vo_minus_3": 3_317_760,
+    }
+
+
 def test_reproduce_reports_failure(capsys):
     # an impossible per-row budget turns the verdict unknown, failing the row
     code, text, _ = run(capsys, "reproduce", "--only", "paley_5", "--timeout", "1e-9")

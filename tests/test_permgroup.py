@@ -13,6 +13,7 @@ from srgta.permgroup import (
     CellNotInvariant,
     DegreeMismatch,
     compose,
+    extend,
     identity,
     inverse,
     orbit,
@@ -116,6 +117,48 @@ def test_chain_order_matches_brute_closure(n, data):
     assert group.order == len(closure(gens))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 8), st.data())
+def test_incremental_chain_matches_brute_force(n, data):
+    """Grow a chain one generator at a time; after each step the order,
+    membership and rebased two-point stabilizers match brute force."""
+    # uniform shuffles as well, so that large groups (up to S_8) come up often
+    perm = st.one_of(
+        st.permutations(range(n)).map(tuple),
+        st.randoms(use_true_random=False).map(lambda r: tuple(r.sample(range(n), n))),
+    )
+    chain = schreier_sims([], n=n)
+    gens = []
+    for g in data.draw(st.lists(perm, min_size=1, max_size=3), label="gens"):
+        gens.append(g)
+        chain = extend(chain, g)
+        elements = closure(gens)
+        assert chain.order == len(elements)
+        probes = data.draw(st.lists(perm, max_size=6), label="probes")
+        for p in probes + [compose(a, b) for a in gens for b in gens]:
+            assert chain.contains(p) == (p in elements)
+        omega = data.draw(st.integers(0, n - 1), label="omega")
+        x = (omega + data.draw(st.integers(1, n - 1), label="x - omega")) % n
+        fresh = schreier_sims(gens, base_prefix=(omega,), n=n)
+        stab_order = fresh.order // len(orbit(gens, omega))
+        x_orbit = orbit(fresh.stabilizer_gens(1), x)
+        two = two_point_stabilizer(chain, omega, x)
+        assert schreier_sims(two, n=n).order == stab_order // len(x_orbit)
+        assert schreier_sims(two, n=n).order == sum(
+            1 for p in elements if p[omega] == omega and p[x] == x
+        )
+
+
+def test_extend_leaves_the_old_chain_intact():
+    trivial = schreier_sims([], base_prefix=(0,), n=5)
+    rot = extend(trivial, ROT5)
+    d5 = extend(rot, FLIP5)
+    other = extend(rot, ROT5)  # already a member: same group
+    assert (trivial.order, rot.order, d5.order, other.order) == (1, 5, 10, 5)
+    assert not rot.contains(FLIP5) and d5.contains(FLIP5)
+    assert trivial.base == rot.base[:1] == d5.base[:1] == (0,)
+
+
 def test_dihedral_stabilizers():
     d5 = schreier_sims([ROT5, FLIP5])
     assert d5.order == 10
@@ -192,6 +235,70 @@ def test_transitivity_rank_examples():
     assert transitivity_rank(schreier_sims(S4_GENS), 4) == (True, 2)
     intransitive = schreier_sims([(1, 0, 2)])
     assert transitivity_rank(intransitive, 3) == (False, None)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.count = n
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+            self.count -= 1
+
+
+def _orbital_count_block_reference(stab_gens, cell_i, cell_j):
+    """The per-pair union-find count that the vectorized one replaced."""
+    cell_i = sorted(cell_i)
+    cell_j = sorted(cell_j)
+    pos_i = {v: a for a, v in enumerate(cell_i)}
+    pos_j = {v: a for a, v in enumerate(cell_j)}
+    for g in stab_gens:
+        if any(g[v] not in pos_i for v in cell_i) or any(g[v] not in pos_j for v in cell_j):
+            raise CellNotInvariant("generator does not preserve the cell setwise")
+    wj = len(cell_j)
+    uf = _UnionFind(len(cell_i) * wj)
+    for g in stab_gens:
+        for a, u in enumerate(cell_i):
+            ga = pos_i[g[u]] * wj
+            base = a * wj
+            for b, v in enumerate(cell_j):
+                uf.union(base + b, ga + pos_j[g[v]])
+    return uf.count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_orbital_count_block_matches_reference(n, data):
+    perm = st.permutations(range(n)).map(tuple)
+    gens = data.draw(st.lists(perm, max_size=3), label="gens")
+    parts = orbits(gens, n) if gens else [[x] for x in range(n)]
+
+    def invariant_cell(label):
+        chosen = data.draw(st.sets(st.sampled_from(range(len(parts))), min_size=1), label=label)
+        return [x for k in sorted(chosen) for x in parts[k]]
+
+    ci, cj = invariant_cell("cell_i"), invariant_cell("cell_j")
+    assert orbital_count_block(gens, ci, cj) == _orbital_count_block_reference(gens, ci, cj)
+    # a proper subset of a moved orbit is not invariant under the generators
+    moved = [part for part in parts if len(part) > 1]
+    if moved:
+        part = data.draw(st.sampled_from(moved), label="split orbit")
+        piece = part[: data.draw(st.integers(1, len(part) - 1), label="piece")]
+        for f in (orbital_count_block, _orbital_count_block_reference):
+            with pytest.raises(CellNotInvariant):
+                f(gens, piece, cj)
+            with pytest.raises(CellNotInvariant):
+                f(gens, ci, piece)
 
 
 def test_orbital_count_block():
