@@ -59,7 +59,7 @@ def _refine_ids(af: np.ndarray, ids: np.ndarray):
     Each round packs that key as one row of big-endian uint16 per vertex, so
     a bytewise sort of the rows is the numeric lexicographic order; colours
     and counts are below n, so n may not pass 2**16 even when the size guard
-    is lifted.  Returns (ids, quotient rows).
+    is lifted.  Returns (ids, quotient), the quotient as a c×c uint16 array.
     """
     n = af.shape[0]
     if n > 2**16:
@@ -78,7 +78,7 @@ def _refine_ids(af: np.ndarray, ids: np.ndarray):
         new[1:] = np.any(s[1:] != s[:-1], axis=1)
         if np.count_nonzero(new) == c:
             # equitable: every vertex of a cell has the same row
-            return ids, tuple(map(tuple, s[new, 1:].tolist()))
+            return ids, s[new, 1:]
         ids = np.empty(n, dtype=np.int64)
         ids[order] = np.cumsum(new) - 1
 
@@ -100,9 +100,10 @@ def _target_cell(ids: np.ndarray, quotient) -> int | None:
     return int(nonsingleton[np.argmin(sizes[nonsingleton])])
 
 
-def _trace(ids: np.ndarray, quotient):
-    """Cell sizes plus the equitable quotient, as compared across nodes."""
-    return tuple(np.bincount(ids, minlength=len(quotient)).tolist()), quotient
+def _trace(ids: np.ndarray, quotient) -> bytes:
+    """Cell sizes plus the equitable quotient, as compared across nodes: for c
+    colours, 8c bytes of sizes then 2c² of quotient, so equal bytes mean equal parts."""
+    return np.bincount(ids, minlength=len(quotient)).tobytes() + quotient.tobytes()
 
 
 def _first_path(af: np.ndarray, ids: np.ndarray, quotient):
@@ -219,6 +220,16 @@ def automorphism_group(
         if not _carries(a, a, p):
             raise NotAnAutomorphism("search returned a non-automorphism")
     return AutResult(found, chain, not timed_out)
+
+
+def automorphism_chain(g: Graph, gens=None, timeout=300.0, partial_ok=False):
+    """(chain, complete) for Aut(g), or for the group `gens` generate.  A searched
+    chain starts at vertex 0 as a supplied one does, since the unit partition of
+    a regular graph is equitable; only a search that timed out is incomplete."""
+    if gens is not None:
+        return schreier_sims(list(gens), base_prefix=(0,), n=g.n), True
+    found = automorphism_group(g, timeout=timeout, partial_ok=partial_ok)
+    return found.group, found.complete
 
 
 def import_generators(path, g: Graph) -> list[Perm]:

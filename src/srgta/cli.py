@@ -17,7 +17,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .autgrp import NotAnAutomorphism, Timeout, automorphism_group, import_generators
+from .autgrp import (
+    NotAnAutomorphism,
+    Timeout,
+    automorphism_chain,
+    automorphism_group,
+    import_generators,
+)
 from .classifier import (
     InconsistentParams,
     exclusion_lemma,
@@ -56,7 +62,7 @@ from .graphcore import (
     write_graph,
 )
 from .linalg import ClosureBudgetExceeded, ClosureSelfTestFailed, PrimeDisagreement
-from .permgroup import DegreeMismatch, orbits, schreier_sims, write_generators
+from .permgroup import DegreeMismatch, orbits, write_generators
 from .terwilliger import (
     InternalDisagreement,
     OracleMismatch,
@@ -114,14 +120,6 @@ def _scalar_primes(args) -> tuple:
     return DEFAULT_PRIMES
 
 
-def _load_group(args, g):
-    """Stabilizer chain plus completeness flag, from a file or from the search."""
-    if getattr(args, "gens", None):
-        return schreier_sims(import_generators(args.gens, g), base_prefix=(0,), n=g.n), True
-    res = automorphism_group(g, timeout=args.timeout)
-    return res.group, res.complete
-
-
 # -- construct ---------------------------------------------------------------
 
 def cmd_construct(args) -> int:
@@ -160,7 +158,8 @@ def cmd_analyze(args) -> int:
     g = read_graph(args.file)
     require_srg(g)
     primes = _scalar_primes(args)
-    group, complete = _load_group(args, g)
+    gens = import_generators(args.gens, g) if args.gens else None
+    group, complete = automorphism_chain(g, gens, timeout=args.timeout)
     if args.all_vertices:
         reps = sorted(min(o) for o in orbits(group.strong_gens, g.n))
     else:

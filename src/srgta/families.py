@@ -285,10 +285,6 @@ def o6_minus_collinearity(q: int) -> Graph:
     field = gf_construct(p, fk)
     q_of = _quadratic_form(field, -1, 3)
 
-    def b_of(x, y) -> int:
-        s = tuple(field.add(a, b) for a, b in zip(x, y))
-        return field.sub(field.sub(q_of(s), q_of(x)), q_of(y))
-
     points = []
     for first_nz in range(6):
         tail_len = 5 - first_nz
@@ -299,8 +295,9 @@ def o6_minus_collinearity(q: int) -> Graph:
     assert len(points) == n_expected, (len(points), n_expected)
     points.sort()
     edges = []
+    # both points are isotropic, so B(x, y) = Q(x+y) − Q(x) − Q(y) = Q(x+y)
     for i, j in combinations(range(len(points)), 2):
-        if b_of(points[i], points[j]) == 0:
+        if q_of(tuple(map(field.add, points[i], points[j]))) == 0:
             edges.append((i, j))
     return Graph.from_edges(len(points), edges)
 

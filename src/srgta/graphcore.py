@@ -37,6 +37,10 @@ class NotSrgError(ValueError):
     """Raised by operations whose precondition is a strongly regular input."""
 
 
+class InconsistentParams(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class SrgParams:
     n: int
@@ -53,6 +57,42 @@ class SrgParams:
 
     def __repr__(self):
         return f"({self.n},{self.k},{self.lam},{self.mu})"
+
+
+def validate_params(p: SrgParams) -> SrgParams:
+    n, k, lam, mu = p.astuple()
+    if not (1 <= k <= n - 2):
+        raise InconsistentParams(f"degree {k} outside 1..{n - 2}")
+    if not (0 <= lam <= k - 1):
+        raise InconsistentParams(f"lambda {lam} outside 0..{k - 1}")
+    if not (0 <= mu <= k):
+        raise InconsistentParams(f"mu {mu} outside 0..{k}")
+    if k * (k - lam - 1) != (n - k - 1) * mu:
+        raise InconsistentParams(
+            f"k(k-lam-1)={k * (k - lam - 1)} != (n-k-1)mu={(n - k - 1) * mu}"
+        )
+    if n - 2 * k + lam < 0 or n - 2 * k + mu - 2 < 0:
+        raise InconsistentParams("negative intersection number")
+    return p
+
+
+def intersection_numbers(p: SrgParams) -> np.ndarray:
+    """The 27 numbers p[i,j,k]: given d(x,y)=k, how many z have d(x,z)=i
+    and d(y,z)=j.  Relations are 0 (equal), 1 (adjacent), 2 (other)."""
+    n, k, lam, mu = validate_params(p).astuple()
+    out = np.zeros((3, 3, 3), dtype=np.int64)
+    sizes = (1, k, n - k - 1)
+    for i in range(3):
+        out[i, i, 0] = sizes[i]
+    out[0, 1, 1] = out[1, 0, 1] = 1
+    out[1, 1, 1] = lam
+    out[1, 2, 1] = out[2, 1, 1] = k - lam - 1
+    out[2, 2, 1] = n - 2 * k + lam
+    out[0, 2, 2] = out[2, 0, 2] = 1
+    out[1, 1, 2] = mu
+    out[1, 2, 2] = out[2, 1, 2] = k - mu
+    out[2, 2, 2] = n - 2 * k + mu - 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,6 +118,14 @@ class VertexPartition:
     @property
     def cells(self):
         return (self.delta0, self.delta1, self.delta2)
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The diagonals of the idempotents E*₀, E*₁, E*₂ as a (3, n) 0/1 array."""
+        out = np.zeros((3, sum(map(len, self.cells))), dtype=np.int64)
+        for mask, cell in zip(out, self.cells):
+            mask[list(cell)] = 1
+        return out
 
 
 class Graph:

@@ -7,8 +7,9 @@ integer matrices over GF(p) can only drop relative to the rationals, and only
 for finitely many p, so agreement across two independent primes (plus an
 optional all-rational mode) is the correctness bar.
 
-Products use the BLAS float64 path whenever n·(p−1)² < 2⁵³ makes it exact,
-which holds for the default 20-bit primes up to the closure size guard.
+Every product is matmul_mod's: BLAS float64 whenever n·(p−1)² < 2⁵³ makes it
+exact, which holds for the default 20-bit primes up to the closure size guard,
+exact integers otherwise, and unreduced over ℚ (p=None).
 """
 
 from __future__ import annotations
@@ -46,8 +47,16 @@ class ClosureSelfTestFailed(RuntimeError):
     """A product of spanning matrices fell outside the computed closure."""
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product of matrices with entries in [0,p), reduced mod p."""
+def _exact(p: int | None) -> bool:
+    """Object entries: over ℚ (None), and past 31-bit primes, where int64 overflows."""
+    return p is None or p >= 2**31
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
+    """Exact product of matrices with entries in [0,p), reduced mod p; with
+    p=None, the exact product of matrices over ℚ."""
+    if p is None:
+        return a @ b
     m = a.shape[1]
     if m * (p - 1) ** 2 < 2**53:
         return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
@@ -61,9 +70,8 @@ class SubspaceBasis:
     """Reduced echelon basis of a subspace of GF(p)^ncols.
 
     p=None switches every entry to Fraction for the rational verification
-    mode; the interface is identical, just slower.  Primes of 31 bits or more
-    also fall back to exact object arithmetic to dodge int64 overflow in the
-    row reductions.
+    mode; the interface is identical, just slower.  Past 31-bit primes the
+    entries are Python integers too (see _exact).
     """
 
     p: int | None
@@ -75,9 +83,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _exact(self) -> bool:
-        return self.p is None or self.p >= 2**31
-
     def _as_field(self, v) -> np.ndarray:
         if len(v) != self.ncols:
             raise DimMismatch(f"vector length {len(v)} != {self.ncols}")
@@ -86,7 +91,7 @@ class SubspaceBasis:
                 [x if isinstance(x, Fraction) else Fraction(int(x)) for x in v],
                 dtype=object,
             )
-        if self._exact():
+        if _exact(self.p):
             return np.array([int(x) % self.p for x in v], dtype=object)
         return np.asarray(v, dtype=np.int64) % self.p
 
@@ -130,16 +135,9 @@ class SubspaceBasis:
 def _normalize(m: np.ndarray, n: int, p: int | None) -> np.ndarray:
     if m.shape != (n, n):
         raise DimMismatch(f"matrix shape {m.shape} != ({n},{n})")
-    if p is None or p >= 2**31:
+    if _exact(p):
         return np.array([[int(x) % p if p else int(x) for x in row] for row in m], dtype=object)
     return np.asarray(m, dtype=np.int64) % p
-
-
-def _mul(x: np.ndarray, y: np.ndarray, p: int | None) -> np.ndarray:
-    if p is None or p >= 2**31:
-        out = x @ y
-        return out % p if p else out
-    return matmul_mod(x, y, p)
 
 
 def algebra_closure(
@@ -178,20 +176,18 @@ def algebra_closure(
         push(g)
     for x in mats:                # mats grows while it is walked
         for g in gens:
-            push(_mul(g, x, p))
+            push(matmul_mod(g, x, p))
     return basis, mats
 
 
-def closure_product_selftest(
-    basis: SubspaceBasis, mats: list[np.ndarray], p: int | None, samples: int = 50
-) -> None:
-    """Membership of random spanning-matrix products back in the span."""
+def closure_product_selftest(basis: SubspaceBasis, mats: list[np.ndarray], p: int | None) -> None:
+    """Membership of 50 random spanning-matrix products back in the span."""
     if not mats:
         return
     rng = np.random.default_rng(0)
-    for _ in range(samples):
+    for _ in range(50):
         i, j = rng.integers(0, len(mats), size=2)
-        prod = _mul(mats[int(i)], mats[int(j)], p)
+        prod = matmul_mod(mats[int(i)], mats[int(j)], p)
         if not basis.contains(prod.reshape(-1)):
             raise ClosureSelfTestFailed(
                 f"product of spanning matrices {int(i)} and {int(j)} lies outside the span"

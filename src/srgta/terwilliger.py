@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .graphcore import (
     Graph,
     ImprimitiveParams,
     SrgParams,
-    VertexPartition,
+    intersection_numbers,
     is_primitive,
     require_srg,
     subconstituents,
@@ -73,25 +74,6 @@ class _Inconclusive:
 Inconclusive = _Inconclusive()
 
 
-@dataclass(frozen=True)
-class Idempotents:
-    part: VertexPartition
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def traces(self) -> tuple[int, int, int]:
-        return tuple(int(m.sum()) for m in self.masks)
-
-
-def idempotents(g: Graph, omega: int = 0) -> Idempotents:
-    require_srg(g)
-    part = vertex_partition(g, omega)
-    masks = np.zeros((3, g.n), dtype=np.int64)
-    for mask, cell in zip(masks, part.cells):
-        mask[list(cell)] = 1
-    return Idempotents(part, tuple(masks))
-
-
 def _relation_matrices(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = g.n
     a0 = np.eye(n, dtype=np.int64)
@@ -100,8 +82,21 @@ def _relation_matrices(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a0, a1, a2
 
 
-def _primes_for(rational: bool, primes) -> tuple:
-    return (None,) if rational else tuple(primes)
+def _over_fields(label: str, masks, primes, rational: bool, span) -> tuple[int, np.ndarray]:
+    """dim and 3×3 block dimensions of one algebra over ℚ alone when `rational`,
+    else over GF(p) for each of `primes`, which must agree (PrimeDisagreement).
+    span(p, first) returns the echelon basis over p (None for ℚ); `first`
+    marks the first field."""
+    fields = (None,) if rational else tuple(primes)
+    bases = [span(p, p == fields[0]) for p in fields]
+    results = [(basis.dim, block_dims(basis, masks)) for basis in bases]
+    dims = {dim for dim, _ in results}
+    if len(dims) != 1:
+        raise PrimeDisagreement(f"{label} dimension differs across primes: {dims}")
+    dim, blocks = results[0]
+    if any(not np.array_equal(blocks, other) for _, other in results[1:]):
+        raise PrimeDisagreement(f"{label} block dimensions differ across primes")
+    return dim, blocks
 
 
 def t0_report(
@@ -113,21 +108,16 @@ def t0_report(
     dimension must equal the count of nonzero pᵢⱼᵏ.
     """
     params = require_srg(g)
-    idem = idempotents(g, omega)
+    masks = vertex_partition(g, omega).masks
     rels = _relation_matrices(g)
-    results = []
-    for p in _primes_for(rational, primes):
-        basis = SubspaceBasis(p, g.n * g.n)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    sandwich = rels[j] * np.outer(idem.masks[i], idem.masks[k])
-                    basis.insert(sandwich.reshape(-1))
-        results.append((basis.dim, block_dims(basis, idem.masks)))
-    _agree(results, "T0")
-    dim, blocks = results[0]
-    from .classifier import intersection_numbers
 
+    def span(p, first):
+        basis = SubspaceBasis(p, g.n * g.n)
+        for i, j, k in product(range(3), repeat=3):
+            basis.insert((rels[j] * np.outer(masks[i], masks[k])).reshape(-1))
+        return basis
+
+    dim, blocks = _over_fields("T0", masks, primes, rational, span)
     expected = int(np.count_nonzero(intersection_numbers(params)))
     if dim != expected:
         raise OracleMismatch(
@@ -142,29 +132,19 @@ def t_report(
     """dim and block dimensions of the full algebra via closure."""
     require_srg(g)
     check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")
-    idem = idempotents(g, omega)
+    masks = vertex_partition(g, omega).masks
     _, a1, a2 = _relation_matrices(g)
     # E*₀ = I − E*₁ − E*₂ adds nothing; A₂ stays, since J is not a
     # polynomial in A₁ when the graph is disconnected
-    gens = [a1, a2] + [np.diag(m) for m in idem.masks[1:]]
-    results = []
-    for p in _primes_for(rational, primes):
+    gens = [a1, a2] + [np.diag(m) for m in masks[1:]]
+
+    def span(p, first):
         basis, mats = algebra_closure(gens, g.n, p)
-        if p == _primes_for(rational, primes)[0]:
+        if first:
             closure_product_selftest(basis, mats, p)
-        results.append((basis.dim, block_dims(basis, idem.masks)))
-    _agree(results, "T")
-    return results[0]
+        return basis
 
-
-def _agree(results, label: str) -> None:
-    dims = {r[0] for r in results}
-    if len(dims) != 1:
-        raise PrimeDisagreement(f"{label} dimension differs across primes: {dims}")
-    first = results[0][1]
-    for _, blocks in results[1:]:
-        if not np.array_equal(first, blocks):
-            raise PrimeDisagreement(f"{label} block dimensions differ across primes")
+    return _over_fields("T", masks, primes, rational, span)
 
 
 def t_tilde_report(g: Graph, group: GroupBSGS, omega: int = 0) -> tuple[int, np.ndarray]:
@@ -177,24 +157,17 @@ def t_tilde_report(g: Graph, group: GroupBSGS, omega: int = 0) -> tuple[int, np.
     rebased at ω once, only if its base does not already start there.
     """
     require_srg(g)
-    idem = idempotents(g, omega)
-    cells = idem.part.cells
+    cells = vertex_partition(g, omega).cells
     group = based_at(group, omega)
     stab = group.stabilizer_gens(1)
-    blocks = np.zeros((3, 3), dtype=np.int64)
-    for i in range(3):
-        for j in range(3):
-            blocks[i, j] = orbital_count_block(stab, cells[i], cells[j])
+    blocks = np.array([[orbital_count_block(stab, a, b) for b in cells] for a in cells])
     total = int(blocks.sum())
 
-    stab_sum = 0
-    for orb in orbits(stab, g.n) if stab else [[x] for x in range(g.n)]:
-        x = min(orb)
-        if x == omega:
-            stab_sum += orbit_count(stab, g.n)
-        else:
-            two = two_point_stabilizer(group, omega, x)
-            stab_sum += orbit_count(two, g.n)
+    stab_orbits = orbits(stab, g.n)
+    stab_sum = len(stab_orbits)  # x = ω, where G_ω ∩ G_x is G_ω itself
+    for orb in stab_orbits:
+        if orb[0] != omega:
+            stab_sum += orbit_count(two_point_stabilizer(group, omega, orb[0]), g.n)
     if stab_sum != total:
         raise InternalDisagreement(
             f"orbital blocks give {total}, stabilizer-sum gives {stab_sum}"
@@ -235,18 +208,10 @@ def t_dim_spectral_crosscheck(g: Graph, omega: int = 0):
         if abs(reps[vi] - valency) > 1e-8:
             return Inconclusive
         mults[vi] -= 1
-        m = sum(
-            1
-            for r, c in zip(reps, mults)
-            if c > 0 and any(abs(r - s) <= 1e-8 for s in special)
-        )
-        nn = sum(
-            1
-            for r, c in zip(reps, mults)
-            if c > 0 and all(abs(r - s) > 1e-8 for s in special)
-        )
+        live = [r for r, c in zip(reps, mults) if c > 0]
+        m = sum(any(abs(r - s) <= 1e-8 for s in special) for r in live)
         m_counts.append(m)
-        n_counts.append(nn)
+        n_counts.append(len(live) - m)
     if n_counts[0] != n_counts[1]:
         return Inconclusive
     return m_counts[0] + m_counts[1] + 4 * n_counts[0] + 9

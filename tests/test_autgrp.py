@@ -16,10 +16,10 @@ from srgta.autgrp import (
     _AUT_SIZE_GUARD,
     _refine_ids,
 )
-from srgta.classifier import triple_transitivity_verdict
+from srgta.classifier import intersection_numbers, triple_transitivity_verdict
 from srgta.exactmath import SizeGuardExceeded
 from srgta.families import FamilySpec, construct
-from srgta.graphcore import Graph, complement
+from srgta.graphcore import Graph, complement, require_srg
 from srgta.permgroup import (
     DegreeMismatch,
     orbital_count_block,
@@ -29,6 +29,7 @@ from srgta.permgroup import (
     two_point_stabilizer,
     write_generators,
 )
+from srgta.terwilliger import t0_report, t_report
 
 
 def brute_aut_order(g):
@@ -101,7 +102,7 @@ def assert_refines_as_reference(g, ids):
     want_ids, want_quotient = _refine_ids_reference(af, ids.copy())
     assert got_ids.dtype == want_ids.dtype
     assert np.array_equal(got_ids, want_ids)
-    assert got_quotient == want_quotient
+    assert np.array_equal(got_quotient, want_quotient)
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,12 +354,15 @@ def latin_square_graph(square, relabel):
     return Graph.from_edges(n * n, edges)
 
 
+# an order-5 Latin square whose Latin square graph LS3(5) has a small group
+SMALL_GROUP_SQUARE = [[0, 2, 1, 3, 4], [3, 4, 0, 1, 2], [4, 1, 3, 2, 0],
+                      [2, 3, 4, 0, 1], [1, 0, 2, 4, 3]]
+
+
 def test_find_isomorphism_searches_past_failed_leaves(monkeypatch):
-    # LS3(5) of a Latin square with a small group: 1-WL plus individualization
-    # reaches leaves of h whose traces match g's first path but which are not
-    # isomorphisms, so the walk must go on past them
-    square = [[0, 2, 1, 3, 4], [3, 4, 0, 1, 2], [4, 1, 3, 2, 0],
-              [2, 3, 4, 0, 1], [1, 0, 2, 4, 3]]
+    # 1-WL plus individualization reaches leaves of h whose traces match g's
+    # first path but which are not isomorphisms, so the walk must go on past them
+    square = SMALL_GROUP_SQUARE
     g = latin_square_graph(square, range(25))
     leaves = []
     carries = autgrp._carries
@@ -375,6 +379,23 @@ def test_find_isomorphism_searches_past_failed_leaves(monkeypatch):
         assert iso is not None and len(leaves) > 1
         idx = np.asarray(iso)
         assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
+
+
+def test_fields_agree_on_a_small_group_latin_square_graph():
+    # T0 and T over the default primes, two 16-bit primes, a prime past the
+    # int64 row reductions, and Q; T itself is not pinned, since nothing
+    # independent derives it
+    g = latin_square_graph(SMALL_GROUP_SQUARE, range(25))
+    fields = [{}, {"primes": (65521, 65519)}, {"primes": (2147483659,)}, {"rational": True}]
+    for report in (t0_report, t_report):
+        results = [report(g, **kwargs) for kwargs in fields]
+        dim, blocks = results[0]
+        for other_dim, other_blocks in results[1:]:
+            assert other_dim == dim and np.array_equal(other_blocks, blocks)
+        if report is t0_report:
+            nums = intersection_numbers(require_srg(g))
+            template = [[np.count_nonzero(nums[i, :, k]) for k in range(3)] for i in range(3)]
+            assert blocks.tolist() == template
 
 
 # -- a rigid strongly regular graph ---------------------------------------------

@@ -24,7 +24,8 @@ from srgta.linalg import (
     closure_product_selftest,
     matmul_mod,
 )
-from srgta.terwilliger import _relation_matrices, idempotents
+from srgta.graphcore import vertex_partition
+from srgta.terwilliger import _relation_matrices
 
 # one prime per arithmetic path: float64 BLAS, int64, object fallback
 PRIMES = [2, 97, 1048573, 134217757, 2147483659]
@@ -252,16 +253,16 @@ def test_closure_matches_naive_two_sided_closure(p, data):
 
 def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):
     _, a1, a2 = _relation_matrices(paley13)
-    masks = idempotents(paley13, 0).masks
+    masks = vertex_partition(paley13, 0).masks
     gens = [a1, a2, np.diag(masks[1]), np.diag(masks[2])]
     calls = []
-    real_mul = linalg._mul
+    real_mul = linalg.matmul_mod
 
     def counting_mul(x, y, p):
         calls.append(1)
         return real_mul(x, y, p)
 
-    monkeypatch.setattr(linalg, "_mul", counting_mul)
+    monkeypatch.setattr(linalg, "matmul_mod", counting_mul)
     basis, _ = algebra_closure(gens, 13, 1048573)
     assert basis.dim == 21
     assert len(calls) <= 4 * basis.dim

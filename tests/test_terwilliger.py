@@ -11,14 +11,13 @@ import pytest
 from srgta.autgrp import automorphism_group
 from srgta.classifier import intersection_numbers
 from srgta.families import FamilySpec, construct
-from srgta.graphcore import ImprimitiveParams, require_srg
+from srgta.graphcore import ImprimitiveParams, require_srg, vertex_partition
 from srgta.permgroup import schreier_sims
 from srgta.terwilliger import (
     AlgebraReport,
     Inconclusive,
     InternalDisagreement,
     analyze_vertex,
-    idempotents,
     t0_report,
     t_dim_spectral_crosscheck,
     t_report,
@@ -33,9 +32,9 @@ def full_report(g, timeout=300.0, rational=False):
 
 
 def test_idempotent_traces(petersen):
-    idem = idempotents(petersen, 0)
-    assert idem.traces == (1, 3, 6)
-    assert np.array_equal(sum(idem.masks), np.ones(10, dtype=np.int64))
+    masks = vertex_partition(petersen, 0).masks
+    assert masks.sum(axis=1).tolist() == [1, 3, 6]
+    assert np.array_equal(sum(masks), np.ones(10, dtype=np.int64))
 
 
 def test_inner_span_dimensions(petersen, pentagon, k33):
