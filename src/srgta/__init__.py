@@ -30,15 +30,14 @@ from .graphcore import (
     subconstituents,
     write_graph,
 )
-from .linalg import SubspaceBasis, algebra_closure, block_dims
+from .linalg import SubspaceBasis, algebra_closure
 from .permgroup import GroupBSGS, schreier_sims, transitivity_rank
 from .terwilliger import (
     AlgebraReport,
     Inconclusive,
     analyze_vertex,
-    t0_report,
+    t0_t_report,
     t_dim_spectral_crosscheck,
-    t_report,
     t_tilde_report,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "algebra_closure",
     "analyze_vertex",
     "automorphism_group",
-    "block_dims",
     "clique_extension",
     "complement",
     "construct",
@@ -77,9 +75,8 @@ __all__ = [
     "srg_eigenvalues",
     "srg_multiplicities",
     "subconstituents",
-    "t0_report",
+    "t0_t_report",
     "t_dim_spectral_crosscheck",
-    "t_report",
     "t_tilde_report",
     "transitivity_rank",
     "triple_intersection_numbers",

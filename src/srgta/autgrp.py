@@ -225,7 +225,11 @@ def automorphism_group(
 def automorphism_chain(g: Graph, gens=None, timeout=300.0, partial_ok=False):
     """(chain, complete) for Aut(g), or for the group `gens` generate.  A searched
     chain starts at vertex 0 as a supplied one does, since the unit partition of
-    a regular graph is equitable; only a search that timed out is incomplete."""
+    a regular graph is equitable; only a search that timed out is incomplete.
+
+    Supplied generators are taken to generate all of Aut(g), and nothing checks
+    that: a proper subgroup can give a wrong verdict (grid(3) with its two
+    translations gives triply_transitive false, the searched group true)."""
     if gens is not None:
         return schreier_sims(list(gens), base_prefix=(0,), n=g.n), True
     found = automorphism_group(g, timeout=timeout, partial_ok=partial_ok)

@@ -67,8 +67,8 @@ from .terwilliger import (
     InternalDisagreement,
     OracleMismatch,
     analyze_vertex,
+    t0_t_report,
     t_dim_spectral_crosscheck,
-    t_report,
 )
 
 _USAGE_ERRORS = (
@@ -374,7 +374,7 @@ def row_spectral(payload, ctx):
     (spec,) = payload
     g = _build(spec)
     estimate = t_dim_spectral_crosscheck(g)
-    dim, _ = t_report(g)
+    _, (dim, _) = t0_t_report(g)
     if estimate != dim:
         return f"spectral estimate {estimate!r} != closure dim {dim}"
     return None

@@ -119,14 +119,6 @@ class VertexPartition:
     def cells(self):
         return (self.delta0, self.delta1, self.delta2)
 
-    @property
-    def masks(self) -> np.ndarray:
-        """The diagonals of the idempotents E*₀, E*₁, E*₂ as a (3, n) 0/1 array."""
-        out = np.zeros((3, sum(map(len, self.cells))), dtype=np.int64)
-        for mask, cell in zip(out, self.cells):
-            mask[list(cell)] = 1
-        return out
-
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""

@@ -1,7 +1,7 @@
 """Exact linear algebra on spaces of n×n matrices over a prime field.
 
-Matrices are flattened to length-n² integer vectors and kept in a reduced
-echelon basis, so span dimension and the nine block dimensions fall out of
+Matrices are flattened to integer vectors and kept in reduced echelon
+bases, one per cell pair (BlockBasis), so span and block dimensions fall out of
 row reduction.  The field substitutes for the complex numbers: ranks of
 integer matrices over GF(p) can only drop relative to the rationals, and only
 for finitely many p, so agreement across two independent primes (plus an
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from itertools import product
 
 import numpy as np
 
@@ -28,14 +28,6 @@ class DimMismatch(ValueError):
 
 
 class ClosureBudgetExceeded(RuntimeError):
-    pass
-
-
-class NotIdempotent(ValueError):
-    pass
-
-
-class NotPartitionOfIdentity(ValueError):
     pass
 
 
@@ -132,89 +124,114 @@ class SubspaceBasis:
         return not np.any(self._reduce(self._as_field(v)))
 
 
-def _normalize(m: np.ndarray, n: int, p: int | None) -> np.ndarray:
-    if m.shape != (n, n):
-        raise DimMismatch(f"matrix shape {m.shape} != ({n},{n})")
+class BlockBasis:
+    """Echelon bases of a space of block-pure matrices, one per cell pair.
+
+    The coordinates split into cells of the given sizes.  A matrix is
+    block-pure when it is zero outside one cell pair Δᵢ×Δₗ; it is held as
+    that block with its pair (i, l).  A space spanned by such matrices is the
+    direct sum of its per-pair parts, so its block dimensions are the dims
+    of the per-pair bases and its dim is their sum.
+    """
+
+    def __init__(self, p: int | None, sizes):
+        self.sizes = tuple(sizes)
+        self.bases = {
+            (i, l): SubspaceBasis(p, a * b)
+            for (i, a), (l, b) in product(enumerate(self.sizes), repeat=2)
+        }
+
+    @property
+    def dim(self) -> int:
+        return sum(basis.dim for basis in self.bases.values())
+
+    def blocks(self) -> np.ndarray:
+        c = len(self.sizes)
+        return np.array([[self.bases[i, l].dim for l in range(c)] for i in range(c)])
+
+    def insert(self, pair, block) -> bool:
+        """Add a block-pure matrix to the span; True iff the dimension grew."""
+        return self.bases[pair].insert(block.reshape(-1))
+
+    def contains(self, pair, block) -> bool:
+        return self.bases[pair].contains(block.reshape(-1))
+
+
+def _normalize(m, shape: tuple[int, int], p: int | None) -> np.ndarray:
+    m = np.asarray(m)
+    if m.shape != shape:
+        raise DimMismatch(f"matrix shape {m.shape} != {shape}")
     if _exact(p):
         return np.array([[int(x) % p if p else int(x) for x in row] for row in m], dtype=object)
-    return np.asarray(m, dtype=np.int64) % p
+    return m.astype(np.int64) % p
 
 
 def algebra_closure(
-    gens: list[np.ndarray],
-    n: int,
+    gens,
+    sizes,
     p: int | None = DEFAULT_PRIMES[0],
     cap: int | None = None,
-) -> tuple[SubspaceBasis, list[np.ndarray]]:
-    """Smallest product-closed subspace containing the identity and gens.
+) -> tuple[BlockBasis, list, np.ndarray]:
+    """Smallest product-closed space holding the cell identities E*ᵢ and gens,
+    block-pure matrices given as ((i, l), block) over cells of the given sizes.
+    With one cell this is the algebra generated by I and gens.
 
-    A subspace holding I and closed under x ↦ g·x for each g in gens holds
-    every word in gens, so pushing g·x per spanning matrix x suffices.
+    A space holding these seeds and closed under x ↦ g·x for each g in gens
+    holds every word in them, so pushing g·x per spanning matrix x suffices;
+    g·x is zero unless g's column cell is x's row cell, and only those
+    products are formed.
 
-    Returns the echelon basis together with the spanning matrices actually
-    inserted; they span a product-closed space, so the product of any two
-    lies in the span, which the closure self-test relies on.  Raises
+    Returns the space, the spanning ((i, l), block) pairs actually inserted
+    (any product of two with matching inner cells lies in the span, which
+    the closure self-test relies on) and the seeds' block dimensions.  Raises
     ClosureBudgetExceeded once the dimension passes cap (default 4n).
     """
     if not gens:
         raise ValueError("need at least one generator")
+    n = sum(sizes)
     budget = 4 * n if cap is None else cap
-    basis = SubspaceBasis(p, n * n)
-    mats: list[np.ndarray] = []
+    space = BlockBasis(p, sizes)
+    mats: list = []
 
-    def push(m: np.ndarray) -> None:
-        if basis.insert(m.reshape(-1)):
-            mats.append(m)
-            if basis.dim > budget:
+    def push(pair, m: np.ndarray) -> None:
+        if space.insert(pair, m):
+            mats.append((pair, m))
+            if space.dim > budget:
                 raise ClosureBudgetExceeded(
                     f"closure dimension exceeded {budget} on a {n}-vertex space"
                 )
 
-    gens = [_normalize(g, n, p) for g in gens]
-    push(_normalize(np.eye(n, dtype=np.int64), n, p))
-    for g in gens:
-        push(g)
-    for x in mats:                # mats grows while it is walked
-        for g in gens:
-            push(matmul_mod(g, x, p))
-    return basis, mats
+    gens = [((i, l), _normalize(g, (space.sizes[i], space.sizes[l]), p)) for (i, l), g in gens]
+    for i, size in enumerate(space.sizes):
+        push((i, i), _normalize(np.eye(size, dtype=np.int64), (size, size), p))
+    for pair, g in gens:
+        push(pair, g)
+    seeded = space.blocks()
+    lefts = [[(i, g) for (i, l), g in gens if l == k and np.any(g)] for k in range(len(sizes))]
+    for (k, l), x in mats:        # mats grows while it is walked
+        for i, g in lefts[k]:
+            push((i, l), matmul_mod(g, x, p))
+    return space, mats, seeded
 
 
-def closure_product_selftest(basis: SubspaceBasis, mats: list[np.ndarray], p: int | None) -> None:
-    """Membership of 50 random spanning-matrix products back in the span."""
+def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> None:
+    """Membership of 50 random spanning-matrix products back in the span; the
+    second factor is drawn among those whose row cell is the first's column
+    cell, since other products are zero."""
     if not mats:
         return
+    rows = {}
+    for idx, ((k, _), _) in enumerate(mats):
+        rows.setdefault(k, []).append(idx)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        i, j = rng.integers(0, len(mats), size=2)
-        prod = matmul_mod(mats[int(i)], mats[int(j)], p)
-        if not basis.contains(prod.reshape(-1)):
+        i = int(rng.integers(len(mats)))
+        (a, k), x = mats[i]
+        if k not in rows:
+            continue
+        j = rows[k][int(rng.integers(len(rows[k])))]
+        (_, l), y = mats[j]
+        if not space.contains((a, l), matmul_mod(x, y, p)):
             raise ClosureSelfTestFailed(
-                f"product of spanning matrices {int(i)} and {int(j)} lies outside the span"
+                f"product of spanning matrices {i} and {j} lies outside the span"
             )
-
-
-def block_dims(basis: SubspaceBasis, masks) -> np.ndarray:
-    """3×3 matrix of dim span{Eᵢ·b·Eⱼ : b in the basis}.
-
-    masks are the diagonals of the Eᵢ as 0/1 vectors; they must be genuine
-    idempotents partitioning the identity.
-    """
-    if len(masks) != 3:
-        raise NotPartitionOfIdentity("expected exactly three idempotents")
-    n = isqrt(basis.ncols)
-    masks = [np.asarray(m, dtype=np.int64) for m in masks]
-    for m in masks:
-        if m.shape != (n,) or not np.all((m == 0) | (m == 1)):
-            raise NotIdempotent("diagonal entries must be 0 or 1")
-    if not np.all(sum(masks) == 1):
-        raise NotPartitionOfIdentity("idempotent diagonals must sum to all-ones")
-    cells = [np.nonzero(m)[0] for m in masks]
-    out = np.zeros((3, 3), dtype=np.int64)
-    for i in range(3):
-        for j in range(3):
-            sub = SubspaceBasis(basis.p, len(cells[i]) * len(cells[j]))
-            for row in basis.rows:
-                sub.insert(row.reshape(n, n)[np.ix_(cells[i], cells[j])].reshape(-1))
-            out[i, j] = sub.dim
-    return out

@@ -9,9 +9,10 @@ nest:
   T̃, the centralizer of the vertex stabilizer Aut(Γ)_ω.
 
 Dimensions and 3×3 block decompositions of all three are computed exactly:
-T₀ and T by echelon span / algebra closure over two prime fields, T̃ by
-counting stabilizer orbitals.  A floating-point cross-check of dim T from
-subconstituent spectra is provided as an advisory, never a verdict source.
+T₀ and T as the first step and the fixed point of one block-by-block
+closure per field (t0_t_report), T̃ by counting stabilizer orbitals.  A
+floating-point cross-check of dim T from subconstituent spectra is provided
+as an advisory, never a verdict source.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .graphcore import (
     subconstituents,
     vertex_partition,
 )
-from .linalg import (
-    PrimeDisagreement,
-    SubspaceBasis,
-    algebra_closure,
-    block_dims,
-    closure_product_selftest,
-)
+from .linalg import PrimeDisagreement, algebra_closure, closure_product_selftest
 from .permgroup import (
     GroupBSGS,
     based_at,
@@ -74,77 +69,59 @@ class _Inconclusive:
 Inconclusive = _Inconclusive()
 
 
-def _relation_matrices(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = g.n
-    a0 = np.eye(n, dtype=np.int64)
-    a1 = g.adjacency_dense().astype(np.int64)
-    a2 = np.ones((n, n), dtype=np.int64) - a0 - a1
-    return a0, a1, a2
+def _sandwiches(g: Graph, omega: int) -> tuple[list, list[int]]:
+    """The sandwiches E*ᵢA_jE*ₖ with j ∈ {1, 2} as ((i, k), block) pairs, and
+    the cell sizes; the blocks of A₂ = J − I − A₁ are cut alongside A₁'s."""
+    cells = [list(cell) for cell in vertex_partition(g, omega).cells]
+    adj = g.adjacency_dense().astype(np.int64)
+    gens = []
+    for (i, rows), (k, cols) in product(enumerate(cells), repeat=2):
+        a1 = adj[np.ix_(rows, cols)]
+        a2 = 1 - a1 - (np.eye(len(rows), dtype=np.int64) if i == k else 0)
+        gens += [((i, k), a1), ((i, k), a2)]
+    return gens, [len(cell) for cell in cells]
 
 
-def _over_fields(label: str, masks, primes, rational: bool, span) -> tuple[int, np.ndarray]:
-    """dim and 3×3 block dimensions of one algebra over ℚ alone when `rational`,
-    else over GF(p) for each of `primes`, which must agree (PrimeDisagreement).
-    span(p, first) returns the echelon basis over p (None for ℚ); `first`
-    marks the first field."""
-    fields = (None,) if rational else tuple(primes)
-    bases = [span(p, p == fields[0]) for p in fields]
-    results = [(basis.dim, block_dims(basis, masks)) for basis in bases]
-    dims = {dim for dim, _ in results}
-    if len(dims) != 1:
-        raise PrimeDisagreement(f"{label} dimension differs across primes: {dims}")
-    dim, blocks = results[0]
-    if any(not np.array_equal(blocks, other) for _, other in results[1:]):
-        raise PrimeDisagreement(f"{label} block dimensions differ across primes")
-    return dim, blocks
-
-
-def t0_report(
+def t0_t_report(
     g: Graph, omega: int = 0, primes=DEFAULT_PRIMES, rational: bool = False
-) -> tuple[int, np.ndarray]:
-    """dim and 3×3 block dimensions of the span of the E*ᵢ A_j E*ₖ.
+) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
+    """(dim, 3×3 block dimensions) of T₀ and of T, from one closure per field.
 
-    Cross-validated against the closed-form intersection numbers: the span
-    dimension must equal the count of nonzero pᵢⱼᵏ.
+    Each sandwich E*ᵢA_jE*ₖ is zero outside Δᵢ×Δₖ, and T splits as
+    ⊕ E*ᵢTE*ₗ, so the closure runs block by block: its seeds are the nonzero
+    sandwiches (those with j = 0 are the E*ᵢ), and it multiplies on the left
+    by those with j ∈ {1, 2}.  The span of the seeds is T₀, the fixed point
+    is T.  Over ℚ alone when `rational`, else over GF(p) for each of
+    `primes`, which must agree (PrimeDisagreement); the closure self-test
+    runs over the first field.  T₀ is cross-validated against the closed-form
+    intersection numbers: its block (i, k) must have as many dimensions as
+    there are nonzero pᵢⱼᵏ over j (OracleMismatch).
     """
     params = require_srg(g)
-    masks = vertex_partition(g, omega).masks
-    rels = _relation_matrices(g)
-
-    def span(p, first):
-        basis = SubspaceBasis(p, g.n * g.n)
-        for i, j, k in product(range(3), repeat=3):
-            basis.insert((rels[j] * np.outer(masks[i], masks[k])).reshape(-1))
-        return basis
-
-    dim, blocks = _over_fields("T0", masks, primes, rational, span)
-    expected = int(np.count_nonzero(intersection_numbers(params)))
-    if dim != expected:
-        raise OracleMismatch(
-            f"span dim {dim} != nonzero intersection-number count {expected}"
-        )
-    return dim, blocks
-
-
-def t_report(
-    g: Graph, omega: int = 0, primes=DEFAULT_PRIMES, rational: bool = False
-) -> tuple[int, np.ndarray]:
-    """dim and block dimensions of the full algebra via closure."""
-    require_srg(g)
     check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")
-    masks = vertex_partition(g, omega).masks
-    _, a1, a2 = _relation_matrices(g)
-    # E*₀ = I − E*₁ − E*₂ adds nothing; A₂ stays, since J is not a
-    # polynomial in A₁ when the graph is disconnected
-    gens = [a1, a2] + [np.diag(m) for m in masks[1:]]
+    gens, sizes = _sandwiches(g, omega)
+    fields = (None,) if rational else tuple(primes)
+    results = []
+    for idx, p in enumerate(fields):
+        space, mats, seeded = algebra_closure(gens, sizes, p)
+        if idx == 0:
+            closure_product_selftest(space, mats, p)
+        results.append((seeded, space.blocks()))
+    for label, per_field in zip(("T0", "T"), zip(*results)):
+        dims = {int(blocks.sum()) for blocks in per_field}
+        if len(dims) != 1:
+            raise PrimeDisagreement(f"{label} dimension differs across primes: {dims}")
+        if any(not np.array_equal(per_field[0], other) for other in per_field[1:]):
+            raise PrimeDisagreement(f"{label} block dimensions differ across primes")
 
-    def span(p, first):
-        basis, mats = algebra_closure(gens, g.n, p)
-        if first:
-            closure_product_selftest(basis, mats, p)
-        return basis
-
-    return _over_fields("T", masks, primes, rational, span)
+    blocks0, blocks1 = results[0]
+    expected = np.count_nonzero(intersection_numbers(params), axis=1)
+    if not np.array_equal(blocks0, expected):
+        raise OracleMismatch(
+            f"span dim {blocks0.sum()}, blocks {blocks0.tolist()} != nonzero "
+            f"intersection-number count {expected.sum()}, blocks {expected.tolist()}"
+        )
+    return (int(blocks0.sum()), blocks0), (int(blocks1.sum()), blocks1)
 
 
 def t_tilde_report(g: Graph, group: GroupBSGS, omega: int = 0) -> tuple[int, np.ndarray]:
@@ -286,8 +263,7 @@ def analyze_vertex(
     """Assemble the three reports and verdicts for one base vertex; `group`
     is the automorphism group's stabilizer chain, on any base."""
     params = require_srg(g)
-    dim0, blocks0 = t0_report(g, omega, primes, rational)
-    dim1, blocks1 = t_report(g, omega, primes, rational)
+    (dim0, blocks0), (dim1, blocks1) = t0_t_report(g, omega, primes, rational)
     dim2, blocks2 = t_tilde_report(g, group, omega)
     transitive, rank = transitivity_rank(group, g.n)
     rank3 = bool(transitive and rank == 3)

@@ -53,7 +53,7 @@ from srgta.graphcore import (
     require_srg,
     subconstituents,
 )
-from srgta.terwilliger import t_dim_spectral_crosscheck, t_report
+from srgta.terwilliger import t0_t_report, t_dim_spectral_crosscheck
 
 
 def build(tag, *params):
@@ -142,7 +142,7 @@ def test_criterion_03_complete_multipartite_dims():
 def test_criterion_04_grids():
     """grid(2): dim T = 10; grid(3..7): dims 15/15/15, triply transitive,
     automorphism group order 2(n!)^2."""
-    assert t_report(build("grid", 2))[0] == 10
+    assert t0_t_report(build("grid", 2))[1][0] == 10
     for n in range(3, 8):
         report = triple_transitivity_verdict(build("grid", n))
         assert dims_of(report) == (15, 15, 15), n
@@ -325,4 +325,4 @@ def test_criterion_12_spectral_crosscheck():
     exactly with the closure computation on the whole panel."""
     panel = [complement(build("johnson", 5))] + [build(*spec) for spec in SPECTRAL_PANEL]
     for g in panel:
-        assert t_dim_spectral_crosscheck(g) == t_report(g)[0]
+        assert t_dim_spectral_crosscheck(g) == t0_t_report(g)[1][0]

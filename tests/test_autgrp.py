@@ -29,7 +29,7 @@ from srgta.permgroup import (
     two_point_stabilizer,
     write_generators,
 )
-from srgta.terwilliger import t0_report, t_report
+from srgta.terwilliger import t0_t_report
 
 
 def brute_aut_order(g):
@@ -387,15 +387,15 @@ def test_fields_agree_on_a_small_group_latin_square_graph():
     # independent derives it
     g = latin_square_graph(SMALL_GROUP_SQUARE, range(25))
     fields = [{}, {"primes": (65521, 65519)}, {"primes": (2147483659,)}, {"rational": True}]
-    for report in (t0_report, t_report):
-        results = [report(g, **kwargs) for kwargs in fields]
-        dim, blocks = results[0]
-        for other_dim, other_blocks in results[1:]:
+    results = [t0_t_report(g, **kwargs) for kwargs in fields]
+    for algebra in (0, 1):
+        dim, blocks = results[0][algebra]
+        for other in results[1:]:
+            other_dim, other_blocks = other[algebra]
             assert other_dim == dim and np.array_equal(other_blocks, blocks)
-        if report is t0_report:
-            nums = intersection_numbers(require_srg(g))
-            template = [[np.count_nonzero(nums[i, :, k]) for k in range(3)] for i in range(3)]
-            assert blocks.tolist() == template
+    nums = intersection_numbers(require_srg(g))
+    template = [[np.count_nonzero(nums[i, :, k]) for k in range(3)] for i in range(3)]
+    assert results[0][0][1].tolist() == template
 
 
 # -- a rigid strongly regular graph ---------------------------------------------

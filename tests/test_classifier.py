@@ -228,12 +228,13 @@ def test_triple_regularity_with_orbit_shortcut(petersen):
 
 
 def test_triple_counts_constancy_matches_dim_equality(petersen, pentagon, grid3, paley13, k33):
-    from srgta.terwilliger import t0_report, t_report
+    from srgta.terwilliger import t0_t_report
 
     for g in (petersen, pentagon, grid3, paley13, k33):
         witness = triple_intersection_numbers(g)
         assert isinstance(witness, TripleWitness)
-        assert witness.constant == (t0_report(g)[0] == t_report(g)[0])
+        (dim0, _), (dim1, _) = t0_t_report(g)
+        assert witness.constant == (dim0 == dim1)
         for vec in witness.tables.values():
             assert sum(vec) == g.n
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon bases, algebra closure, block splitting."""
+"""Exact linear algebra: echelon bases and the block-by-block algebra closure."""
 
 import os
 import subprocess
@@ -9,23 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import srgta
 from srgta import linalg
 from srgta.linalg import (
     ClosureBudgetExceeded,
     DimMismatch,
-    NotIdempotent,
-    NotPartitionOfIdentity,
     SubspaceBasis,
     algebra_closure,
-    block_dims,
     closure_product_selftest,
     matmul_mod,
 )
-from srgta.graphcore import vertex_partition
-from srgta.terwilliger import _relation_matrices
+from srgta.terwilliger import _sandwiches
 
 # one prime per arithmetic path: float64 BLAS, int64, object fallback
 PRIMES = [2, 97, 1048573, 134217757, 2147483659]
@@ -120,24 +116,28 @@ def shift_matrix(n):
     return m
 
 
+def one_cell(*gens):
+    return [((0, 0), g) for g in gens]
+
+
 def test_closure_of_nilpotent_shift():
-    basis, mats = algebra_closure([shift_matrix(4)], 4, 97)
+    space, mats, _ = algebra_closure(one_cell(shift_matrix(4)), [4], 97)
     # I, N, N^2, N^3
-    assert basis.dim == 4
+    assert space.dim == 4
     assert len(mats) == 4
-    closure_product_selftest(basis, mats, 97)
+    closure_product_selftest(space, mats, 97)
 
 
 def test_selftest_raises_under_python_optimize():
     # span{I, N} with N the 3x3 shift is not product-closed: N^2 lies outside it
     code = textwrap.dedent("""
         import numpy as np
-        from srgta.linalg import SubspaceBasis, closure_product_selftest
-        mats = [np.eye(3, dtype=np.int64), np.eye(3, k=1, dtype=np.int64)]
-        basis = SubspaceBasis(97, 9)
-        for m in mats:
-            basis.insert(m.reshape(-1))
-        closure_product_selftest(basis, mats, 97)
+        from srgta.linalg import BlockBasis, closure_product_selftest
+        mats = [((0, 0), np.eye(3, dtype=np.int64)), ((0, 0), np.eye(3, k=1, dtype=np.int64))]
+        space = BlockBasis(97, (3,))
+        for pair, m in mats:
+            space.insert(pair, m)
+        closure_product_selftest(space, mats, 97)
     """)
     src = str(Path(srgta.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -152,15 +152,15 @@ def test_selftest_raises_under_python_optimize():
 
 def test_closure_of_all_ones():
     j = np.ones((5, 5), dtype=np.int64)
-    basis, _ = algebra_closure([j], 5, 1048573)
-    assert basis.dim == 2                       # span{I, J}; J^2 = 5J
-    assert basis.contains((3 * j + 2 * np.eye(5, dtype=np.int64)).reshape(-1) % 1048573)
+    space, _, _ = algebra_closure(one_cell(j), [5], 1048573)
+    assert space.dim == 2                       # span{I, J}; J^2 = 5J
+    assert space.contains((0, 0), (3 * j + 2 * np.eye(5, dtype=np.int64)) % 1048573)
 
 
 def test_closure_rational_matches_mod_p():
     a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
-    mod_p, _ = algebra_closure([a], 3, 1048573)
-    exact, _ = algebra_closure([a], 3, None)
+    mod_p, _, _ = algebra_closure(one_cell(a), [3], 1048573)
+    exact, _, _ = algebra_closure(one_cell(a), [3], None)
     assert mod_p.dim == exact.dim == 3
 
 
@@ -168,9 +168,9 @@ def test_closure_budget():
     rng = np.random.default_rng(1)
     gens = [rng.integers(0, 2, size=(6, 6)) for _ in range(2)]
     with pytest.raises(ClosureBudgetExceeded):
-        algebra_closure(gens, 6, 97, cap=2)
+        algebra_closure(one_cell(*gens), [6], 97, cap=2)
     with pytest.raises(ValueError):
-        algebra_closure([], 3, 97)
+        algebra_closure([], [3], 97)
 
 
 def test_closure_dimension_is_substrate_independent():
@@ -178,8 +178,54 @@ def test_closure_dimension_is_substrate_independent():
     a = rng.integers(0, 2, size=(5, 5))
     a = np.triu(a, 1)
     a = a + a.T
-    dims = {algebra_closure([a], 5, p)[0].dim for p in (97, 1048573, None)}
+    dims = {algebra_closure(one_cell(a), [5], p)[0].dim for p in (97, 1048573, None)}
     assert len(dims) == 1
+
+
+def test_closure_of_cell_identities_is_block_diagonal():
+    space, _, seeded = algebra_closure([((1, 1), np.eye(2, dtype=np.int64))], [1, 2], 7)
+    assert seeded.tolist() == space.blocks().tolist() == [[1, 0], [0, 1]]
+    assert space.dim == 2
+
+
+def test_closure_blocks_count_support():
+    # E*0 + E_01 + E_02 on three singleton cells: products with matching inner
+    # cells give nothing new
+    one = np.ones((1, 1), dtype=np.int64)
+    space, _, seeded = algebra_closure([((0, 1), one), ((0, 2), one)], [1, 1, 1], 7)
+    assert seeded.tolist() == space.blocks().tolist() == [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+
+
+def test_closure_validates_block_shapes():
+    with pytest.raises(DimMismatch):
+        algebra_closure([((0, 1), np.ones((2, 2), dtype=np.int64))], [1, 2], 97)
+    with pytest.raises(DimMismatch):
+        algebra_closure([((1, 0), np.ones((1, 2), dtype=np.int64))], [1, 2], 97)
+
+
+class Echelon:
+    """Naive row reduction over GF(p), or over the rationals for p=None."""
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}            # pivot column -> row with leading entry 1
+
+    def insert(self, values) -> bool:
+        p = self.p
+        v = [Fraction(int(x)) if p is None else int(x) % p for x in values]
+        for piv in sorted(self.rows):
+            c = v[piv]
+            if c:
+                v = [a - c * b for a, b in zip(v, self.rows[piv])]
+                if p is not None:
+                    v = [a % p for a in v]
+        nz = [i for i, a in enumerate(v) if a]
+        if not nz:
+            return False
+        lead = v[nz[0]]
+        inv = 1 / lead if p is None else pow(lead, p - 2, p)
+        self.rows[nz[0]] = [a * inv if p is None else a * inv % p for a in v]
+        return True
 
 
 def reference_closure(gens, n, p):
@@ -189,27 +235,12 @@ def reference_closure(gens, n, p):
     taken, until a round adds nothing.  The row reduction is its own, not
     SubspaceBasis; p=None reduces over the rationals.
     """
-    def to_field(x):
-        return Fraction(int(x)) if p is None else int(x) % p
-
-    echelon = {}                  # pivot column -> row with leading entry 1
+    echelon = Echelon(p)
     mats = []
 
     def insert(m):
-        v = [to_field(x) for x in m.reshape(-1)]
-        for piv in sorted(echelon):
-            c = v[piv]
-            if c:
-                v = [a - c * b for a, b in zip(v, echelon[piv])]
-                if p is not None:
-                    v = [a % p for a in v]
-        nz = [i for i, a in enumerate(v) if a]
-        if not nz:
-            return
-        lead = v[nz[0]]
-        inv = 1 / lead if p is None else pow(lead, p - 2, p)
-        echelon[nz[0]] = [a * inv if p is None else a * inv % p for a in v]
-        mats.append(m)
+        if echelon.insert(m.reshape(-1)):
+            mats.append(m)
 
     def reduce_mod(m):
         return m if p is None else m % p
@@ -231,30 +262,43 @@ def reference_closure(gens, n, p):
 @pytest.mark.parametrize("p", [97, 1048573, None])
 @given(data=st.data())
 def test_closure_matches_naive_two_sided_closure(p, data):
+    # a random partition of 1-3 cells and block-pure 0/1 generators, against
+    # the naive closure of their assembled n×n matrices and the cell masks
     n = data.draw(st.integers(2, 5))
-    count = data.draw(st.integers(1, 3))
-    bit = st.integers(0, 1)
-    gens = [
-        np.array(
-            data.draw(st.lists(st.lists(bit, min_size=n, max_size=n), min_size=n, max_size=n)),
-            dtype=np.int64,
-        )
-        for _ in range(count)
-    ]
-    assume(any(np.any(g != g.T) for g in gens))
-    if count > 1:
-        assume(any(np.any(a @ b != b @ a) for a in gens for b in gens))
-    want = reference_closure(gens, n, p)
-    basis, _ = algebra_closure(gens, n, p, cap=n * n)
-    assert basis.dim == len(want)
-    for m in want:
-        assert basis.contains(m.reshape(-1))
+    c = data.draw(st.integers(1, min(3, n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=c - 1, max_size=c - 1)))
+    order = data.draw(st.permutations(range(n)))
+    cells = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    sizes = [len(cell) for cell in cells]
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, l = data.draw(st.tuples(st.integers(0, c - 1), st.integers(0, c - 1)))
+        row = st.lists(st.integers(0, 1), min_size=sizes[l], max_size=sizes[l])
+        block = data.draw(st.lists(row, min_size=sizes[i], max_size=sizes[i]))
+        gens.append(((i, l), np.array(block, dtype=np.int64)))
+
+    def assemble(pair, block):
+        m = np.zeros((n, n), dtype=np.int64)
+        m[np.ix_(cells[pair[0]], cells[pair[1]])] = block
+        return m
+
+    masks = [assemble((i, i), np.eye(size, dtype=np.int64)) for i, size in enumerate(sizes)]
+    want = reference_closure([assemble(*g) for g in gens] + masks, n, p)
+    space, _, seeded = algebra_closure(gens, sizes, p, cap=n * n)
+    assert space.dim == len(want)
+    for (i, l), basis in space.bases.items():
+        part = Echelon(p)
+        cut = [m[np.ix_(cells[i], cells[l])] for m in want]
+        assert basis.dim == sum(part.insert(b.reshape(-1)) for b in cut)
+        for b in cut:
+            assert space.contains((i, l), b)
+        seeds = [b for pair, b in gens if pair == (i, l)] + [np.eye(sizes[i])] * (i == l)
+        part = Echelon(p)
+        assert seeded[i, l] == sum(part.insert(b.reshape(-1)) for b in seeds)
 
 
 def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):
-    _, a1, a2 = _relation_matrices(paley13)
-    masks = vertex_partition(paley13, 0).masks
-    gens = [a1, a2, np.diag(masks[1]), np.diag(masks[2])]
+    gens, sizes = _sandwiches(paley13, 0)
     calls = []
     real_mul = linalg.matmul_mod
 
@@ -263,36 +307,6 @@ def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):
         return real_mul(x, y, p)
 
     monkeypatch.setattr(linalg, "matmul_mod", counting_mul)
-    basis, _ = algebra_closure(gens, 13, 1048573)
-    assert basis.dim == 21
-    assert len(calls) <= 4 * basis.dim
-
-
-# -- block dimensions ------------------------------------------------------------
-
-def test_block_dims_of_identity_span():
-    basis = SubspaceBasis(7, 9)
-    basis.insert(np.eye(3, dtype=np.int64).reshape(-1))
-    masks = ([1, 0, 0], [0, 1, 0], [0, 0, 1])
-    assert block_dims(basis, masks).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-def test_block_dims_counts_support():
-    basis = SubspaceBasis(7, 9)
-    m = np.zeros((3, 3), dtype=np.int64)
-    m[0, 1] = 1
-    m[0, 2] = 1
-    basis.insert(m.reshape(-1))
-    blocks = block_dims(basis, ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
-    assert blocks.tolist() == [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
-
-
-def test_block_dims_validates_masks():
-    basis = SubspaceBasis(7, 9)
-    basis.insert(np.eye(3, dtype=np.int64).reshape(-1))
-    with pytest.raises(NotPartitionOfIdentity):
-        block_dims(basis, ([1, 0, 0], [0, 1, 1]))
-    with pytest.raises(NotIdempotent):
-        block_dims(basis, ([2, 0, 0], [0, 1, 0], [0, 0, 1]))
-    with pytest.raises(NotPartitionOfIdentity):
-        block_dims(basis, ([1, 0, 0], [1, 0, 0], [0, 0, 1]))
+    space, _, _ = algebra_closure(gens, sizes, 1048573)
+    assert space.dim == 21
+    assert len(calls) <= 6 * space.dim

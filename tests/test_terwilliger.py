@@ -13,14 +13,15 @@ from srgta.classifier import intersection_numbers
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import ImprimitiveParams, require_srg, vertex_partition
 from srgta.permgroup import schreier_sims
+from srgta import terwilliger
 from srgta.terwilliger import (
     AlgebraReport,
     Inconclusive,
     InternalDisagreement,
     analyze_vertex,
-    t0_report,
+    OracleMismatch,
+    t0_t_report,
     t_dim_spectral_crosscheck,
-    t_report,
     t_tilde_report,
 )
 
@@ -31,17 +32,25 @@ def full_report(g, timeout=300.0, rational=False):
     return analyze_vertex(g, group, 0, rational=rational)
 
 
+def t0_dim(g):
+    return t0_t_report(g)[0][0]
+
+
+def t_dim(g):
+    return t0_t_report(g)[1][0]
+
+
 def test_idempotent_traces(petersen):
-    masks = vertex_partition(petersen, 0).masks
-    assert masks.sum(axis=1).tolist() == [1, 3, 6]
-    assert np.array_equal(sum(masks), np.ones(10, dtype=np.int64))
+    cells = vertex_partition(petersen, 0).cells
+    assert [len(cell) for cell in cells] == [1, 3, 6]
+    assert sorted(sum(cells, ())) == list(range(10))
 
 
 def test_inner_span_dimensions(petersen, pentagon, k33):
-    assert t0_report(petersen)[0] == 14
-    assert t0_report(pentagon)[0] == 13
-    assert t0_report(k33)[0] == 11
-    assert t0_report(construct(FamilySpec("grid", (2,))))[0] == 10
+    assert t0_dim(petersen) == 14
+    assert t0_dim(pentagon) == 13
+    assert t0_dim(k33) == 11
+    assert t0_dim(construct(FamilySpec("grid", (2,)))) == 10
 
 
 def test_inner_span_blocks_match_intersection_template(petersen, paley13, grid3):
@@ -51,16 +60,28 @@ def test_inner_span_blocks_match_intersection_template(petersen, paley13, grid3)
             [int(np.count_nonzero(nums[i, :, k])) for k in range(3)]
             for i in range(3)
         ]
-        _, blocks = t0_report(g)
+        (_, blocks), _ = t0_t_report(g)
         assert blocks.tolist() == template
 
 
+def test_inner_span_oracle_checks_each_block(monkeypatch, petersen):
+    # move one nonzero intersection number to a zero slot of another block:
+    # the nonzero count is unchanged, so only the per-block check can fire
+    nums = intersection_numbers(require_srg(petersen)).copy()
+    src = next(zip(*np.nonzero(nums)))
+    dst = next(idx for idx in zip(*np.nonzero(nums == 0)) if (idx[0], idx[2]) != (src[0], src[2]))
+    nums[dst], nums[src] = nums[src], 0
+    monkeypatch.setattr(terwilliger, "intersection_numbers", lambda params: nums)
+    with pytest.raises(OracleMismatch, match="blocks"):
+        t0_t_report(petersen)
+
+
 def test_closure_dimensions(petersen, pentagon, grid3, paley13):
-    assert t_report(petersen)[0] == 15
-    assert t_report(pentagon)[0] == 13
-    assert t_report(grid3)[0] == 15
-    assert t_report(paley13)[0] == 21
-    assert t_report(construct(FamilySpec("grid", (2,))))[0] == 10
+    assert t_dim(petersen) == 15
+    assert t_dim(pentagon) == 13
+    assert t_dim(grid3) == 15
+    assert t_dim(paley13) == 21
+    assert t_dim(construct(FamilySpec("grid", (2,)))) == 10
 
 
 @pytest.mark.parametrize(
@@ -74,7 +95,7 @@ def test_closure_dimensions(petersen, pentagon, grid3, paley13):
     ],
 )
 def test_closure_blocks_on_larger_graphs(tag, params, dim, blocks):
-    got_dim, got_blocks = t_report(construct(FamilySpec(tag, params)))
+    _, (got_dim, got_blocks) = t0_t_report(construct(FamilySpec(tag, params)))
     assert got_dim == dim
     assert got_blocks.tolist() == blocks
 
