@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Record the benchmark's metrics for this checkout in BENCH_<tag>.json.
 
-    python3 scripts/bench_record.py 11 [--seed 1] [--seconds 14]
+    python3 scripts/bench_record.py 11
 
 Runs perfbench/run.py once per workload of BENCHMARK.json with --trace 0
-(end-to-end metrics) and once with --trace 1 (per-layer metrics), reads the
+(end-to-end metrics) and once with --trace 1 (per-layer metrics), always with
+seed 1 and BENCHMARK.json's run_seconds so that records compare, reads the
 `env` line and the JSON summary line each run prints, and writes them to
 BENCH_<tag>.json at the repository root together with the commit, whether
 tracked files differed from it, and the machine's conditions.  The runs take
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 1
 
 
 def parse_run_output(stdout: str) -> dict:
@@ -70,16 +72,14 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tag", help="output file is BENCH_<tag>.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args(argv)
+    seconds = bench["run_seconds"]
 
-    record = {"conditions": conditions(), "seed": args.seed, "seconds": args.seconds,
-              "runs": {}}
+    record = {"conditions": conditions(), "seed": SEED, "seconds": seconds, "runs": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-                   "--seed", str(args.seed), "--seconds", str(args.seconds),
+                   "--seed", str(SEED), "--seconds", str(seconds),
                    "--trace", str(trace)]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
             if proc.returncode != 0:

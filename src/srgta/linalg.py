@@ -227,8 +227,6 @@ def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> No
     for _ in range(50):
         i = int(rng.integers(len(mats)))
         (a, k), x = mats[i]
-        if k not in rows:
-            continue
         j = rows[k][int(rng.integers(len(rows[k])))]
         (_, l), y = mats[j]
         if not space.contains((a, l), matmul_mod(x, y, p)):

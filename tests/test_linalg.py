@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import srgta
 from srgta import linalg
@@ -283,6 +283,13 @@ def test_closure_matches_naive_two_sided_closure(p, data):
         return m
 
     masks = [assemble((i, i), np.eye(size, dtype=np.int64)) for i, size in enumerate(sizes)]
+    # a closure that multiplies on one side only must be caught, so some
+    # matrix is not symmetric and, with more than one, some pair does not
+    # commute; a single cell's mask is I and is left out of both
+    mats = [assemble(*g) for g in gens] + (masks if c > 1 else [])
+    assume(any(np.any(m != m.T) for m in mats))
+    if len(mats) > 1:
+        assume(any(np.any(a @ b != b @ a) for a in mats for b in mats))
     want = reference_closure([assemble(*g) for g in gens] + masks, n, p)
     space, _, seeded = algebra_closure(gens, sizes, p, cap=n * n)
     assert space.dim == len(want)
