@@ -12,8 +12,8 @@ onto it.  Refinement, individualization and the target-cell rule are
 isomorphism-invariant, so an isomorphism maps the first path onto a path
 with equal traces whose leaf yields it: the automorphism group and an
 isomorphism test are the same walk.  The automorphism search also prunes by
-orbits of the group found so far, read off one stabilizer chain that each
-new generator extends.
+orbits of the group known so far, read off one stabilizer chain that starts
+from any supplied automorphisms and that each new generator extends.
 
 Each refinement round is one matrix product for the neighbour counts per
 colour and one sort of the vertices' packed (colour, counts) keys, with no
@@ -150,7 +150,7 @@ def _root(af: np.ndarray):
 
 @dataclass
 class AutResult:
-    """Generators found, the stabilizer chain of the group they generate
+    """Generators, seeds first, the stabilizer chain of the group they generate
     (based along the search's first path), and whether the search finished."""
 
     gens: list[Perm]
@@ -169,28 +169,29 @@ def _carries(a: np.ndarray, b: np.ndarray, p: Perm) -> bool:
 
 
 def automorphism_group(
-    g: Graph, timeout: float = 300.0, partial_ok: bool = False
+    g: Graph, timeout: float = 300.0, partial_ok: bool = False, gens=()
 ) -> AutResult:
     """Generators of Aut(g) with its exact order and stabilizer chain.
 
-    The chain starts trivial on the first path's base and is extended by
-    each new generator, so the search prunes with it and hands it on.
-    Raises Timeout after `timeout` seconds unless partial_ok, in which case
-    the generators found so far come back with complete=False (their group is
-    then only a lower bound for the full automorphism group).
+    The chain starts as the group of the seeds `gens`, checked automorphisms,
+    on the first path's base and is extended by each new generator, so the
+    search prunes with it and hands it on; seeds that generate Aut leave no
+    branch past the first path.  A search that finishes has found all of Aut,
+    seeded or not.  Raises Timeout after `timeout` seconds unless partial_ok,
+    in which case the group found so far comes back with complete=False (it
+    is then only a lower bound for the full automorphism group).
     """
     check_guard(g.n, _AUT_SIZE_GUARD, "automorphism search order")
     n = g.n
+    found = check_automorphisms(g, gens)
     if n == 0:
-        return AutResult([], schreier_sims([], n=0), True)
+        return AutResult(found, schreier_sims([], n=0), True)
     a = g.adjacency_dense()
     af = a.astype(np.float64)
     deadline = time.monotonic() + timeout if timeout else None
     path = _first_path(af, *_root(af))
     spine, base, _ = path
-
-    found: list[Perm] = []
-    chain = schreier_sims([], base_prefix=tuple(base), n=n)
+    chain = schreier_sims(found, base_prefix=tuple(base), n=n)
 
     def accept(p: Perm) -> bool:
         nonlocal chain
@@ -216,24 +217,19 @@ def automorphism_group(
             raise Timeout(f"automorphism search exceeded {timeout}s") from None
         timed_out = True
 
-    for p in found:
-        if not _carries(a, a, p):
-            raise NotAnAutomorphism("search returned a non-automorphism")
     return AutResult(found, chain, not timed_out)
 
 
-def automorphism_chain(g: Graph, gens=None, timeout=300.0, partial_ok=False):
-    """(chain, complete) for Aut(g), or for the group `gens` generate.  A searched
-    chain starts at vertex 0 as a supplied one does, since the unit partition of
-    a regular graph is equitable; only a search that timed out is incomplete.
-
-    Supplied generators are taken to generate all of Aut(g), and nothing checks
-    that: a proper subgroup can give a wrong verdict (grid(3) with its two
-    translations gives triply_transitive false, the searched group true)."""
-    if gens is not None:
-        return schreier_sims(list(gens), base_prefix=(0,), n=g.n), True
-    found = automorphism_group(g, timeout=timeout, partial_ok=partial_ok)
-    return found.group, found.complete
+def check_automorphisms(g: Graph, perms, linenos=None) -> list[Perm]:
+    """`perms` as tuples, each checked to be an automorphism of g; the first
+    that is not raises NotAnAutomorphism, with its entry of `linenos` if given."""
+    a = g.adjacency_dense()
+    checked = [tuple(int(x) for x in p) for p in perms]
+    for i, p in enumerate(checked):
+        if sorted(p) != list(range(g.n)) or not _carries(a, a, p):
+            line = None if linenos is None else linenos[i]
+            raise NotAnAutomorphism("not a permutation that preserves adjacency", line)
+    return checked
 
 
 def import_generators(path, g: Graph) -> list[Perm]:
@@ -241,11 +237,7 @@ def import_generators(path, g: Graph) -> list[Perm]:
     degree, perms, linenos = read_generators(path)
     if degree != g.n:
         raise DegreeMismatch(f"generators have degree {degree}, graph has {g.n}")
-    a = g.adjacency_dense()
-    for p, lineno in zip(perms, linenos):
-        if not _carries(a, a, p):
-            raise NotAnAutomorphism("permutation does not preserve adjacency", lineno)
-    return perms
+    return check_automorphisms(g, perms, linenos)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Perm | None:

@@ -20,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from .autgrp import automorphism_chain
+from .autgrp import automorphism_group, check_automorphisms
 from .exactmath import (
     DEFAULT_PRIMES,
     QuadExt,
@@ -227,12 +227,12 @@ def triple_regularity(g: Graph, gens=None):
     """Subconstituent test: True iff for every base vertex both
     subconstituents are strongly regular in the wide sense.
 
-    With generators, one representative per vertex orbit suffices;
-    otherwise every vertex is checked.  On failure returns the first
-    witness (omega, which subconstituent, violating pair)."""
+    With generators, checked to be automorphisms of g, one representative
+    per vertex orbit suffices; otherwise every vertex is checked.  On failure
+    returns the first witness (omega, which subconstituent, violating pair)."""
     require_srg(g)
     if gens:
-        reps = sorted(min(o) for o in orbits(gens, g.n))
+        reps = sorted(min(o) for o in orbits(check_automorphisms(g, gens), g.n))
     else:
         reps = range(g.n)
     for omega in reps:
@@ -299,14 +299,15 @@ def triple_transitivity_verdict(
     primes=DEFAULT_PRIMES,
     rational: bool = False,
 ) -> AlgebraReport:
-    """Full pipeline at base vertex 0: automorphism group (searched unless
-    generators are supplied), the three algebra dimensions, and the verdict
-    transitive ∧ rank 3 ∧ dim T₀ = dim T = dim T̃.
+    """Full pipeline at base vertex 0: the automorphism group, searched from
+    any supplied generators (NotAnAutomorphism unless they are automorphisms),
+    the three algebra dimensions, and the verdict transitive ∧ rank 3 ∧
+    dim T₀ = dim T = dim T̃.
 
     A search that runs out of time still gives a verdict, flagged as resting
-    on a lower bound for the group."""
+    on a lower bound for the group; only a true verdict stands on it."""
     require_srg(g)
-    group, complete = automorphism_chain(g, gens, timeout=timeout, partial_ok=True)
+    found = automorphism_group(g, timeout, partial_ok=True, gens=gens or ())
     return analyze_vertex(
-        g, group, 0, primes=primes, rational=rational, aut_complete=complete,
+        g, found.group, 0, primes=primes, rational=rational, aut_complete=found.complete,
     )

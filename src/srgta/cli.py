@@ -20,7 +20,6 @@ import numpy as np
 from .autgrp import (
     NotAnAutomorphism,
     Timeout,
-    automorphism_chain,
     automorphism_group,
     import_generators,
 )
@@ -158,8 +157,9 @@ def cmd_analyze(args) -> int:
     g = read_graph(args.file)
     require_srg(g)
     primes = _scalar_primes(args)
-    gens = import_generators(args.gens, g) if args.gens else None
-    group, complete = automorphism_chain(g, gens, timeout=args.timeout)
+    gens = import_generators(args.gens, g) if args.gens else ()
+    found = automorphism_group(g, args.timeout, gens=gens)
+    group = found.group
     if args.all_vertices:
         reps = sorted(min(o) for o in orbits(group.strong_gens, g.n))
     else:
@@ -167,7 +167,7 @@ def cmd_analyze(args) -> int:
     reports = [
         analyze_vertex(
             g, group, omega,
-            primes=primes, rational=args.rational, aut_complete=complete,
+            primes=primes, rational=args.rational, aut_complete=found.complete,
         )
         for omega in reps
     ]
@@ -567,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analyze = subs.add_parser("analyze", help="full algebra report for a graph file")
     p_analyze.add_argument("file")
-    p_analyze.add_argument("--gens", help="generator file, skips the search")
+    p_analyze.add_argument("--gens", help="generator file, seeds the automorphism search")
     fmt = p_analyze.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True)
     fmt.add_argument("--table", action="store_true")
@@ -591,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check-triple", help="full pipeline, JSON report")
     p_check.add_argument("file")
-    p_check.add_argument("--gens")
+    p_check.add_argument("--gens", help="generator file, seeds the automorphism search")
     _add_scalar_flags(p_check)
     p_check.add_argument("--timeout", type=float, default=300.0)
     p_check.set_defaults(func=cmd_check_triple)

@@ -26,6 +26,14 @@ def grid3():
 
 
 @pytest.fixture(scope="session")
+def grid3_translations():
+    """A column shift and a row shift of grid(3), whose vertex 3r + c is the
+    cell (r, c): automorphisms that generate a subgroup of order 9 in Aut,
+    which has order 72."""
+    return [(1, 2, 0, 4, 5, 3, 7, 8, 6), (3, 4, 5, 6, 7, 8, 0, 1, 2)]
+
+
+@pytest.fixture(scope="session")
 def paley13():
     return construct(FamilySpec("paley", (13,)))
 

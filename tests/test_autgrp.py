@@ -257,6 +257,35 @@ def test_timeout_raises_and_partial_mode():
     assert all(preserves_adjacency(g, p) for p in res.gens)
 
 
+# -- seeded search ---------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["grid5", "paley13", "petersen"])
+def test_search_seeded_with_generators_of_aut_ends_after_the_first_path(which, request):
+    # every branch off the first path is in a seed orbit, so the search never
+    # reads its deadline and finishes with the searched group
+    if which == "grid5":
+        g = construct(FamilySpec("grid", (5,)))
+    else:
+        g = request.getfixturevalue(which)
+    searched = automorphism_group(g)
+    seeded = automorphism_group(g, timeout=1e-9, gens=searched.gens)
+    assert seeded.complete and seeded.order == searched.order
+    assert seeded.gens == searched.gens
+
+
+def test_search_completes_seeds_of_a_proper_subgroup(grid3, grid3_translations):
+    res = automorphism_group(grid3, gens=grid3_translations[:1])
+    assert res.complete and res.order == brute_aut_order(grid3) == 72
+    assert res.gens[0] == grid3_translations[0]
+    assert res.group.order == schreier_sims(res.gens, n=9).order
+
+
+@pytest.mark.parametrize("seed", [(1, 0, 2, 3, 4, 5, 6, 7, 8), (0,) * 9, tuple(range(8))])
+def test_search_rejects_seeds_that_are_not_automorphisms(grid3, seed):
+    with pytest.raises(NotAnAutomorphism):
+        automorphism_group(grid3, gens=[seed])
+
+
 # -- generator import ----------------------------------------------------------
 
 def test_import_accepts_exported_generators(tmp_path, petersen):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from srgta import autgrp, classifier, graphcore, permgroup, terwilliger
+from srgta.autgrp import NotAnAutomorphism
 from srgta.classifier import (
     InconsistentParams,
     KreinReport,
@@ -227,6 +228,11 @@ def test_triple_regularity_with_orbit_shortcut(petersen):
     assert triple_regularity(petersen, gens)[0] == triple_regularity(petersen)[0]
 
 
+def test_triple_regularity_rejects_a_non_automorphism(grid3):
+    with pytest.raises(NotAnAutomorphism):
+        triple_regularity(grid3, [(1, 0, 2, 3, 4, 5, 6, 7, 8)])
+
+
 def test_triple_counts_constancy_matches_dim_equality(petersen, pentagon, grid3, paley13, k33):
     from srgta.terwilliger import t0_t_report
 
@@ -295,6 +301,32 @@ def test_verdict_with_exhausted_budget_is_unknown(petersen):
     report = triple_transitivity_verdict(petersen, timeout=1e-9)
     assert report.verdicts["triply_transitive"] is None
     assert "aut_lower_bound_only" in report.flags
+
+
+@pytest.mark.parametrize("count", [2, 1])
+def test_verdict_from_subgroup_generators_is_the_searched_verdict(
+    grid3, grid3_translations, count
+):
+    # the translations generate a subgroup of order 9 or 3; they seed the
+    # search, which completes them to all of Aut
+    searched = triple_transitivity_verdict(grid3)
+    assert searched.aut_order == 72 and searched.verdicts["triply_transitive"] is True
+    seeded = triple_transitivity_verdict(grid3, gens=grid3_translations[:count])
+    assert seeded.to_json() == searched.to_json()
+
+
+def test_verdict_rejects_a_non_automorphism(grid3):
+    with pytest.raises(NotAnAutomorphism):
+        triple_transitivity_verdict(grid3, gens=[(1, 0, 2, 3, 4, 5, 6, 7, 8)])
+
+
+def test_verdict_seeded_by_a_subgroup_past_its_budget_is_unknown(grid3, grid3_translations):
+    # one translation leaves branches to explore, so the deadline is read; the
+    # intransitive group found is a lower bound and flags no case (b)
+    report = triple_transitivity_verdict(grid3, gens=grid3_translations[:1], timeout=1e-9)
+    assert report.aut_order == 3
+    assert report.verdicts["triply_transitive"] is None
+    assert report.flags == ["aut_lower_bound_only"]
 
 
 def test_krein_report_shape():

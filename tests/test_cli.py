@@ -8,6 +8,7 @@ import srgta.cli
 from srgta.cli import main
 from srgta.graphcore import read_graph, write_graph
 from srgta.linalg import ClosureBudgetExceeded, ClosureSelfTestFailed, PrimeDisagreement
+from srgta.permgroup import write_generators
 from srgta.terwilliger import AlgebraReport, InternalDisagreement, OracleMismatch
 
 
@@ -133,12 +134,23 @@ def test_analyze_timeout_exit_code(tmp_path, capsys):
     assert "timed out" in err
 
 
-def test_analyze_with_imported_generators(tmp_path, capsys, petersen_file):
+def test_analyze_with_imported_generators(
+    tmp_path, capsys, petersen_file, grid3, grid3_translations
+):
     gens = tmp_path / "petersen.gens"
     code, _, _ = run(capsys, "aut", petersen_file, "--export", str(gens))
     assert code == 0
     baseline = run(capsys, "analyze", petersen_file)[1]
     assert run(capsys, "analyze", petersen_file, "--gens", str(gens))[1] == baseline
+    # generators of a proper subgroup seed the search and give the searched report
+    grid_file = str(tmp_path / "grid3.srg")
+    write_graph(grid3, grid_file)
+    for command in ("analyze", "check-triple"):
+        baseline = run(capsys, command, grid_file)[1]
+        assert '"triply_transitive": true' in baseline
+        for count in (2, 1):
+            write_generators(gens, 9, grid3_translations[:count])
+            assert run(capsys, command, grid_file, "--gens", str(gens)) == (0, baseline, "")
 
 
 # -- aut -------------------------------------------------------------------------
