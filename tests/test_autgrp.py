@@ -275,7 +275,7 @@ def test_search_seeded_with_generators_of_aut_ends_after_the_first_path(which, r
 
 def test_search_completes_seeds_of_a_proper_subgroup(grid3, grid3_translations):
     res = automorphism_group(grid3, gens=grid3_translations[:1])
-    assert res.complete and res.order == brute_aut_order(grid3) == 72
+    assert res.complete and res.order == 72
     assert res.gens[0] == grid3_translations[0]
     assert res.group.order == schreier_sims(res.gens, n=9).order
 
