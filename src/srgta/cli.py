@@ -85,6 +85,7 @@ _USAGE_ERRORS = (
     SizeGuardExceeded,
     FileNotFoundError,
     IsADirectoryError,
+    PermissionError,
 )
 
 _COMPUTATION_ERRORS = (
@@ -552,6 +553,13 @@ def _add_scalar_flags(sub) -> None:
     group.add_argument("--seed", type=int, help="derive two random prime substrates")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srgta",
@@ -599,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = subs.add_parser("reproduce", help="run the frozen row battery")
     p_rep.add_argument("--only", help="substring filter on row names")
     p_rep.add_argument("--import-dir", help="directory of imported .srg files")
-    p_rep.add_argument("--jobs", type=int, help="worker processes (default: cores)")
+    p_rep.add_argument("--jobs", type=_positive_int, help="worker processes (default: cores)")
     p_rep.add_argument("--timeout", type=float, help="per-row search budget override")
     p_rep.set_defaults(func=cmd_reproduce)
 

@@ -140,12 +140,8 @@ def grassmann(q: int, n: int) -> Graph:
 # -- additive Cayley machinery ----------------------------------------------
 
 def _digit_table(p: int, length: int, n: int) -> np.ndarray:
-    vals = np.arange(n, dtype=np.int64)
-    digits = np.empty((n, length), dtype=np.int64)
-    for i in range(length):
-        digits[:, i] = vals % p
-        vals //= p
-    return digits
+    """Row v holds the first `length` base-p digits of v, least significant first."""
+    return np.arange(n, dtype=np.int64)[:, None] // p ** np.arange(length, dtype=np.int64) % p
 
 
 def _cayley_additive(p: int, length: int, conn) -> Graph:
@@ -201,44 +197,38 @@ def peisert(p: int, t: int) -> Graph:
     return _cayley_additive(p, 2 * t, conn)
 
 
-def _anisotropic_coeff(field) -> int:
+def _field_tables(field) -> tuple[np.ndarray, np.ndarray]:
+    """The q x q addition and multiplication tables of the field, in the
+    least unsigned dtype that holds q - 1, so gathers over them stay small."""
+    els = range(field.q)
+    dtype = np.min_scalar_type(field.q - 1)
+    add = np.array([[field.add(a, b) for b in els] for a in els], dtype=dtype)
+    mul = np.array([[field.mul(a, b) for b in els] for a in els], dtype=dtype)
+    return add, mul
+
+
+def _quadratic_form(add, mul, a, vecs) -> np.ndarray:
+    """Q on the last axis of vecs: x0*x1 + x2*x3 + ..., where the last pair
+    is the anisotropic x^2 + xy + a*y^2 instead when a is not None."""
+    pairs = vecs.shape[-1] // 2
+    total = np.zeros(vecs.shape[:-1], dtype=add.dtype)
+    for i in range(pairs):
+        x, y = vecs[..., 2 * i], vecs[..., 2 * i + 1]
+        term = mul[x, y]
+        if a is not None and i == pairs - 1:
+            term = add[add[mul[x, x], term], mul[a, mul[y, y]]]
+        total = add[total, term]
+    return total
+
+
+def _anisotropic_coeff(add, mul) -> int:
     """Least a such that x^2 + xy + a*y^2 has no nonzero root over the field."""
-    for a in field.elements():
-        ok = True
-        for x, y in product(field.elements(), repeat=2):
-            if (x, y) == (0, 0):
-                continue
-            val = field.add(
-                field.add(field.mul(x, x), field.mul(x, y)),
-                field.mul(a, field.mul(y, y)),
-            )
-            if val == 0:
-                ok = False
-                break
-        if ok:
+    pairs = np.moveaxis(np.indices(add.shape), 0, -1)
+    for a in range(len(add)):
+        # the root (0, 0) is always there
+        if np.count_nonzero(_quadratic_form(add, mul, a, pairs) == 0) == 1:
             return a
     raise AssertionError("no anisotropic binary form found")  # unreachable
-
-
-def _quadratic_form(field, eps: int, m: int):
-    """Q on field^{2m}: hyperbolic pairs, with an anisotropic tail if eps=-1."""
-    a = _anisotropic_coeff(field) if eps == -1 else None
-
-    def q_of(vec) -> int:
-        total = 0
-        pairs = m - 1 if eps == -1 else m
-        for i in range(pairs):
-            total = field.add(total, field.mul(vec[2 * i], vec[2 * i + 1]))
-        if eps == -1:
-            x, y = vec[2 * m - 2], vec[2 * m - 1]
-            tail = field.add(
-                field.add(field.mul(x, x), field.mul(x, y)),
-                field.mul(a, field.mul(y, y)),
-            )
-            total = field.add(total, tail)
-        return total
-
-    return q_of
 
 
 def affine_polar(eps: int, m: int, q: int) -> Graph:
@@ -252,25 +242,13 @@ def affine_polar(eps: int, m: int, q: int) -> Graph:
         raise ParamRange(f"q must be a prime power, got {q}")
     check_guard(q ** (2 * m), _AFFINE_GUARD, "affine polar order")
     p, fk = pk
-    field = gf_construct(p, fk)
-    q_of = _quadratic_form(field, eps, m)
-    length = 2 * m * fk
-    # a vertex integer's base-p digits split into 2m field coordinates
-    total = q ** (2 * m)
-    conn = []
-    for v in range(1, total):
-        vec = _int_to_vec(v, q, 2 * m)
-        if q_of(vec) == 0:
-            conn.append(v)
-    return _cayley_additive(p, length, conn)
-
-
-def _int_to_vec(v: int, q: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(v % q)
-        v //= q
-    return tuple(out)
+    add, mul = _field_tables(gf_construct(p, fk))
+    a = _anisotropic_coeff(add, mul) if eps == -1 else None
+    # a vertex integer's base-q digits are its 2m field coordinates, so its
+    # base-p digits are theirs, fk to a coordinate
+    vecs = _digit_table(q, 2 * m, q ** (2 * m))
+    isotropic = np.flatnonzero(_quadratic_form(add, mul, a, vecs) == 0)
+    return _cayley_additive(p, 2 * m * fk, isotropic[1:].tolist())
 
 
 def o6_minus_collinearity(q: int) -> Graph:
@@ -281,25 +259,16 @@ def o6_minus_collinearity(q: int) -> Graph:
         raise ParamRange(f"q must be a prime power, got {q}")
     n_expected = (q + 1) * (q**3 + 1)
     check_guard(n_expected, _O6_GUARD, "isotropic point count")
-    p, fk = pk
-    field = gf_construct(p, fk)
-    q_of = _quadratic_form(field, -1, 3)
-
-    points = []
-    for first_nz in range(6):
-        tail_len = 5 - first_nz
-        for tail in product(field.elements(), repeat=tail_len):
-            vec = (0,) * first_nz + (1,) + tail
-            if q_of(vec) == 0:
-                points.append(vec)
+    add, mul = _field_tables(gf_construct(*pk))
+    a = _anisotropic_coeff(add, mul)
+    # most significant digit first, so the rows run in lexicographic order
+    vecs = _digit_table(q, 6, q**6)[1:, ::-1]
+    leading = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    points = vecs[(leading == 1) & (_quadratic_form(add, mul, a, vecs) == 0)].astype(add.dtype)
     assert len(points) == n_expected, (len(points), n_expected)
-    points.sort()
-    edges = []
     # both points are isotropic, so B(x, y) = Q(x+y) − Q(x) − Q(y) = Q(x+y)
-    for i, j in combinations(range(len(points)), 2):
-        if q_of(tuple(map(field.add, points[i], points[j]))) == 0:
-            edges.append((i, j))
-    return Graph.from_edges(len(points), edges)
+    sums = add[points[:, None, :], points[None, :, :]]
+    return Graph.from_dense(_quadratic_form(add, mul, a, sums) == 0)
 
 
 def bilinear_forms(q: int, e: int) -> Graph:
@@ -311,23 +280,14 @@ def bilinear_forms(q: int, e: int) -> Graph:
         raise ParamRange(f"bilinear_forms needs e >= 2, got {e}")
     check_guard(q ** (2 * e), _AFFINE_GUARD, "bilinear forms order")
     p, fk = pk
-    field = gf_construct(p, fk)
+    _, mul = _field_tables(gf_construct(p, fk))
     # rank-1 matrices: column direction (a,b) up to scalars, times a nonzero row
-    col_reps = [(1, b) for b in field.elements()] + [(0, 1)]
-    conn = []
-    for a, b in col_reps:
-        for row in product(field.elements(), repeat=e):
-            if all(c == 0 for c in row):
-                continue
-            top = [field.mul(a, c) for c in row]
-            bot = [field.mul(b, c) for c in row]
-            entries = tuple(top + bot)
-            idx = 0
-            for c in reversed(entries):
-                idx = idx * q + c
-            conn.append(idx)
-    assert len(conn) == (q + 1) * (q**e - 1)
-    return _cayley_additive(p, 2 * e * fk, conn)
+    cols = np.array([(1, b) for b in range(q)] + [(0, 1)])
+    rows = _digit_table(q, e, q**e)[1:]
+    entries = mul[cols[:, None, :, None], rows[None, :, None, :]].reshape(-1, 2 * e)
+    conn = entries @ q ** np.arange(2 * e)
+    assert len(np.unique(conn)) == (q + 1) * (q**e - 1)
+    return _cayley_additive(p, 2 * e * fk, conn.tolist())
 
 
 FAMILY_REGISTRY = {

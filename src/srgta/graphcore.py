@@ -295,21 +295,31 @@ def clique_extension(g: Graph, m: int) -> Graph:
 
 # -- file round trip -------------------------------------------------------
 
+def read_int_lines(path) -> tuple[list[tuple[int, list[int]]], int]:
+    """(line number, integers) for each line of a UTF-8 text file that holds
+    any, with '#' starting a comment, and the file's line count."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            try:
+                rows.append((lineno, [int(t) for t in parts]))
+            except ValueError:
+                raise ParseError(f"non-integer token in {parts!r}", lineno) from None
+    return rows, len(lines)
+
+
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    rows, n_lines = read_int_lines(path)
     header = None
     edges = []
     expected = None
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        try:
-            nums = [int(t) for t in parts]
-        except ValueError:
-            raise ParseError(f"non-integer token in {parts!r}", lineno)
+    for lineno, nums in rows:
         if header is None:
             if len(nums) != 2:
                 raise ParseError("header must be 'n m'", lineno)
@@ -329,12 +339,12 @@ def read_graph(path) -> Graph:
             raise ParseError(f"edges must satisfy u < v, got ({u},{v})", lineno)
         edges.append((u, v))
     if header is None:
-        raise ParseError("missing 'n m' header", len(lines) or 1)
+        raise ParseError("missing 'n m' header", n_lines or 1)
     if len(edges) != expected:
         # header counts edge lines; duplicates are tolerated but still counted
         raise ParseError(
             f"header announced {expected} edges, found {len(edges)} edge lines",
-            len(lines),
+            n_lines,
         )
     return Graph.from_edges(header[0], sorted(set(edges)))
 

@@ -21,7 +21,7 @@ from math import prod
 
 import numpy as np
 
-from .graphcore import ParseError, VertexOutOfRange
+from .graphcore import ParseError, VertexOutOfRange, read_int_lines
 
 Perm = tuple[int, ...]
 
@@ -462,19 +462,11 @@ def orbital_count_block(stab_gens, cell_i, cell_j) -> int:
 
 def read_generators(path) -> tuple[int, list[Perm], list[int]]:
     """Parse a generator file; returns (degree, perms, source line numbers)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    rows, n_lines = read_int_lines(path)
     header = None
     perms: list[Perm] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            nums = [int(t) for t in text.split()]
-        except ValueError:
-            raise ParseError("non-integer token", lineno)
+    for lineno, nums in rows:
         if header is None:
             if len(nums) != 2:
                 raise ParseError("header must be 'n g'", lineno)
@@ -487,9 +479,9 @@ def read_generators(path) -> tuple[int, list[Perm], list[int]]:
         perms.append(tuple(nums))
         linenos.append(lineno)
     if header is None:
-        raise ParseError("missing 'n g' header", len(lines) or 1)
+        raise ParseError("missing 'n g' header", n_lines or 1)
     if len(perms) != header[1]:
-        raise ParseError(f"header announced {header[1]} generators, found {len(perms)}", len(lines))
+        raise ParseError(f"header announced {header[1]} generators, found {len(perms)}", n_lines)
     return header[0], perms, linenos
 
 

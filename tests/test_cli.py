@@ -5,6 +5,7 @@ import json
 import pytest
 
 import srgta.cli
+import srgta.graphcore
 from srgta.cli import main
 from srgta.graphcore import read_graph, write_graph
 from srgta.linalg import ClosureBudgetExceeded, ClosureSelfTestFailed, PrimeDisagreement
@@ -126,6 +127,26 @@ def test_analyze_missing_file(capsys):
     assert code == 2
 
 
+def test_unreadable_inputs_exit_2(tmp_path, capsys, monkeypatch, petersen_file):
+    binary = tmp_path / "utf16.srg"
+    binary.write_bytes(b"\xff\xfe10 15\n")
+    code, _, err = run(capsys, "analyze", str(binary))
+    assert code == 2
+    assert "not UTF-8 text" in err
+    code, _, err = run(capsys, "analyze", petersen_file, "--gens", str(binary))
+    assert code == 2
+    assert "not UTF-8 text" in err
+
+    # root ignores chmod 000, so refuse the open itself
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(srgta.graphcore, "open", refused, raising=False)
+    code, _, err = run(capsys, "analyze", petersen_file)
+    assert code == 2
+    assert "Permission denied" in err
+
+
 def test_analyze_timeout_exit_code(tmp_path, capsys):
     out = tmp_path / "g.srg"
     run(capsys, "construct", "grid", "5", "-o", str(out))
@@ -233,6 +254,15 @@ def test_reproduce_unknown_filter(capsys):
     code, _, err = run(capsys, "reproduce", "--only", "frobnicate")
     assert code == 2
     assert "no rows match" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_reproduce_rejects_jobs_below_one(capsys, jobs):
+    # one row, so a parser that let the value through still starts no pool
+    code, text, err = run(capsys, "reproduce", "--only", "paley_5", "--jobs", jobs)
+    assert code == 2
+    assert text == ""
+    assert "must be at least 1" in err
 
 
 def test_reproduce_import_rows_skip_without_directory(capsys):

@@ -5,6 +5,8 @@ constructed graphs against those forms and against a handful of known
 isomorphisms between families.
 """
 
+import hashlib
+
 import pytest
 
 from srgta.autgrp import find_isomorphism
@@ -156,3 +158,43 @@ def test_construct_dispatch():
         construct(FamilySpec("moebius", (5,)))
     with pytest.raises(ParamRange):
         construct(FamilySpec("grid", (3, 3)))
+
+
+# SHA-1 of adjacency_dense().tobytes(): generator files and pinned group
+# orders refer to these vertex numberings, so they must not drift.
+ADJACENCY_SHA1 = {
+    ("o6minus", (2,)): "0457cb904d355107bcfdc7ce44bd59ac5fe53c0e",
+    ("o6minus", (3,)): "0c679847879aa16d3d25c320cea8fb5fac919295",
+    ("o6minus", (4,)): "c7311b888ef89976789855bedab6224f179d6a2b",
+    ("o6minus", (5,)): "aa5dc3e4ffa1ace905fcf55434a8de54d6325f64",
+    ("vo", (1, 1, 3)): "3cdb1fd72b863294b7dcdbd2b22b050f55e46f54",
+    ("vo", (1, 2, 2)): "40acf89ca4bd4364973ebf74c8ec02134baa6dd0",
+    ("vo", (1, 3, 2)): "7910e3685d288145070c23e94503c87c857bad5e",
+    ("vo", (1, 4, 2)): "9dc40ea03cef0de133c2174ffa6fb4cfa754bd3b",
+    ("vo", (1, 5, 2)): "40f65e1750bdbd2b55d8421162b3ede771e3dedc",
+    ("vo", (1, 2, 3)): "80974aab2077a0b7bf8f03013be6a02c9ba5bae3",
+    ("vo", (1, 1, 4)): "fe4358fbd9ee58811f08587e49556ddf795b5545",
+    ("vo", (1, 2, 4)): "dc1a6478d8f3df601a592970f5322303308a38ed",
+    ("vo", (-1, 1, 3)): "f8ebbbe3ad6a8cfd13607fd3a7fad7a3a7a50158",
+    ("vo", (-1, 2, 2)): "529dbfcc6baefc6a5f7654f4a3c9c568f1085bdb",
+    ("vo", (-1, 3, 2)): "f2666ed18571558abb31afdd220495d982a3bdb9",
+    ("vo", (-1, 4, 2)): "f21c0d5613c8d2ef077484ee23be8eb72a9709bc",
+    ("vo", (-1, 5, 2)): "b889bf13f9cd1f0722f17d1e3e772c6cf652c29c",
+    ("vo", (-1, 2, 3)): "32c481584f77d449723c4469caf51a5654952b91",
+    ("vo", (-1, 1, 4)): "b376885ac8452b6cbf9ced81b1080bfd570d9b91",
+    ("vo", (-1, 2, 4)): "c7b108b69b017034099e58e15894afda6b76b03b",
+    ("bilinear", (2, 2)): "9468d3aada18e00a36d8a46013f4fce614e43a8c",
+    ("bilinear", (2, 3)): "624fd61503e5f430208478d435e7c168849267de",
+    ("bilinear", (3, 2)): "8538b1fb5606dbe6929e7eeceefbfb836364c2e1",
+}
+
+
+@pytest.mark.parametrize(
+    "tag,params",
+    sorted(ADJACENCY_SHA1),
+    ids=[f"{tag}{params}".replace(" ", "") for tag, params in sorted(ADJACENCY_SHA1)],
+)
+def test_vertex_numbering_is_pinned(tag, params):
+    g = construct(FamilySpec(tag, params))
+    digest = hashlib.sha1(g.adjacency_dense().tobytes()).hexdigest()
+    assert digest == ADJACENCY_SHA1[tag, params]

@@ -245,3 +245,10 @@ def test_read_rejects_malformed(tmp_path, text, error, line):
     with pytest.raises(error) as err:
         read_graph(path)
     assert err.value.line == line
+
+
+def test_read_rejects_non_utf8(tmp_path):
+    path = tmp_path / "utf16.srg"
+    path.write_bytes(b"\xff\xfe3 1\n0 1\n")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        read_graph(path)

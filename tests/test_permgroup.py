@@ -369,3 +369,10 @@ def test_generator_file_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ParseError):
         read_generators(path)
+
+
+def test_generator_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "utf16.gens"
+    path.write_bytes(b"\xff\xfe3 1\n1 2 0\n")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        read_generators(path)
