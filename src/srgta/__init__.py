@@ -35,7 +35,9 @@ from .permgroup import GroupBSGS, schreier_sims, transitivity_rank
 from .terwilliger import (
     AlgebraReport,
     Inconclusive,
+    PairOrbitals,
     analyze_vertex,
+    pair_orbitals,
     t0_t_report,
     t_dim_spectral_crosscheck,
     t_tilde_report,
@@ -50,6 +52,7 @@ __all__ = [
     "GroupBSGS",
     "Inconclusive",
     "KreinReport",
+    "PairOrbitals",
     "ParamForm",
     "QuadExt",
     "SrgParams",
@@ -68,6 +71,7 @@ __all__ = [
     "is_primitive",
     "is_strongly_regular",
     "krein",
+    "pair_orbitals",
     "param_form",
     "read_graph",
     "require_srg",

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-from sympy.polys.galoistools import gf_irreducible_p
-from sympy.polys.domains import ZZ
-
 
 class NotPrime(ValueError):
     pass
@@ -58,7 +54,13 @@ def check_guard(value: int, default_limit: int, what: str) -> None:
         raise SizeGuardExceeded(f"{what}: {value} exceeds size guard {limit}")
 
 
+# sympy is imported inside the functions that call it: importing it takes
+# most of `import srgta`, and many runs never need it.
+
+
 def is_prime(n: int) -> bool:
+    import sympy
+
     return sympy.isprime(n)
 
 
@@ -66,6 +68,8 @@ def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p**k, p prime, k >= 1; None if q is not one."""
     if q < 2:
         return None
+    import sympy
+
     fac = sympy.factorint(q)
     if len(fac) != 1:
         return None
@@ -77,6 +81,8 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s*s*d with d squarefree; returns (s, d).  Requires n >= 0."""
     if n == 0:
         return 0, 1
+    import sympy
+
     s, d = 1, 1
     for p, e in sympy.factorint(n).items():
         s *= int(p) ** (e // 2)
@@ -291,6 +297,9 @@ class FiniteField:
         p, k = self.p, self.k
         if k == 1:
             return (0, 1)
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_irreducible_p
+
         for m in range(p**k):
             coeffs = self._digits(m)
             # sympy wants dense descending order with leading coefficient first
@@ -379,6 +388,8 @@ class FiniteField:
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 is not in the multiplicative group")
+        import sympy
+
         order = self.q - 1
         for r in sympy.factorint(order):
             r = int(r)

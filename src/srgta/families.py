@@ -149,19 +149,26 @@ def _cayley_additive(p: int, length: int, conn) -> Graph:
 
     Vertex x is the integer whose base-p digits are its coordinates; in the
     field encoding used here, addition of field-element vectors is exactly
-    digitwise mod-p addition of these integers.
+    digitwise mod-p addition of these integers.  x ~ y iff the digitwise
+    difference y − x lies in the connection set.  That difference is
+    accumulated one digit at a time on the n×n pairs, viewed with one axis
+    per digit of x and of y (most significant first), and then looked up
+    in an indicator of the set.
     """
-    n = p**length
-    digits = _digit_table(p, length, n)
-    powers = p ** np.arange(length, dtype=np.int64)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    rows = np.arange(n)
     conn = sorted(set(conn))
-    assert 0 not in conn
-    for s in conn:
-        target = ((digits + digits[s]) % p) @ powers
-        adj[rows, target] = 1
-    return Graph.from_dense(adj)
+    if 0 in conn:
+        raise ValueError("a Cayley graph's connection set must not hold 0")
+    n = p**length
+    dtype = np.min_scalar_type(n - 1)
+    sub = ((np.arange(p)[None, :] - np.arange(p)[:, None]) % p).astype(dtype)
+    diff = np.zeros((p,) * (2 * length), dtype=dtype)
+    for t in range(length):
+        shape = [1] * (2 * length)
+        shape[length - 1 - t] = shape[2 * length - 1 - t] = p
+        diff += (sub * dtype.type(p**t)).reshape(shape)
+    indicator = np.zeros(n, dtype=np.uint8)
+    indicator[conn] = 1
+    return Graph.from_dense(indicator[diff.reshape(n, n)])
 
 
 def paley(q: int) -> Graph:

@@ -1,20 +1,21 @@
 """Exact linear algebra on spaces of n×n matrices over a prime field.
 
-Matrices are flattened to integer vectors and kept in reduced echelon
-bases, one per cell pair (BlockBasis), so span and block dimensions fall out of
-row reduction.  The field substitutes for the complex numbers: ranks of
-integer matrices over GF(p) can only drop relative to the rationals, and only
-for finitely many p, so agreement across two independent primes (plus an
-optional all-rational mode) is the correctness bar.
+Matrices are flattened to integer vectors, or given by coordinates in a
+basis, and kept in reduced echelon bases, one per cell pair (BlockBasis),
+so span and block dimensions fall out of row reduction.  The field
+substitutes for the complex numbers: ranks of integer matrices over GF(p)
+can only drop relative to the rationals, and only for finitely many p, so
+agreement across two independent primes (plus an optional all-rational
+mode) is the correctness bar.
 
-Every product is matmul_mod's: BLAS float64 whenever n·(p−1)² < 2⁵³ makes it
-exact, which holds for the default 20-bit primes up to the closure size guard,
-exact integers otherwise, and unreduced over ℚ (p=None).
+Every product is matmul_mod's, echelon reductions included: BLAS float64
+whenever n·(p−1)² < 2⁵³ makes it exact, which holds for the default 20-bit
+primes up to the closure size guard, exact integers otherwise, and
+unreduced over ℚ (p=None).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -57,71 +58,88 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
     return (a.astype(object) @ b.astype(object)) % p
 
 
-@dataclass
 class SubspaceBasis:
     """Reduced echelon basis of a subspace of GF(p)^ncols.
 
     p=None switches every entry to Fraction for the rational verification
     mode; the interface is identical, just slower.  Past 31-bit primes the
     entries are Python integers too (see _exact).
+
+    The rows are held as one matrix, ordered by pivot.  Each pivot column is
+    zero outside its own row, so a vector's coefficient on a row is its
+    entry at that row's pivot, and reducing it is one product.
     """
 
-    p: int | None
-    ncols: int
-    rows: list[np.ndarray] = field(default_factory=list)
-    pivots: list[int] = field(default_factory=list)
+    def __init__(self, p: int | None, ncols: int):
+        self.p = p
+        self.ncols = ncols
+        self.pivots: list[int] = []
+        self._mat = np.empty((0, ncols), dtype=object if _exact(p) else np.int64)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _as_field(self, v) -> np.ndarray:
-        if len(v) != self.ncols:
-            raise DimMismatch(f"vector length {len(v)} != {self.ncols}")
+    @property
+    def rows(self) -> list[np.ndarray]:
+        return list(self._mat)
+
+    def _as_field(self, rows) -> np.ndarray:
+        """The rows (one vector, or a list or matrix of them) as a field
+        matrix."""
+        m = np.asarray(rows)
+        m = m.reshape(-1, m.shape[-1]) if m.size else m.reshape(-1, self.ncols)
+        if m.shape[1] != self.ncols:
+            raise DimMismatch(f"vector length {m.shape[1]} != {self.ncols}")
         if self.p is None:
-            return np.array(
-                [x if isinstance(x, Fraction) else Fraction(int(x)) for x in v],
-                dtype=object,
-            )
-        if _exact(self.p):
-            return np.array([int(x) % self.p for x in v], dtype=object)
-        return np.asarray(v, dtype=np.int64) % self.p
+            flat = [x if isinstance(x, Fraction) else Fraction(int(x)) for x in m.reshape(-1)]
+            return np.array(flat, dtype=object).reshape(m.shape)
+        return field_array(m, self.p)
 
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = v - c * row
-                if self.p is not None:
-                    v %= self.p
-        return v
+    def _reduce(self, w: np.ndarray) -> np.ndarray:
+        """Rows reduced against the basis: zero at every pivot."""
+        if not self.pivots:
+            return w
+        coeffs = w[:, self.pivots]
+        if self.p is None:
+            return w - coeffs @ self._mat
+        return (w - matmul_mod(coeffs, self._mat, self.p)) % self.p
+
+    def insert_many(self, rows) -> list[int]:
+        """Add the rows in order; the indices of those that grew the span,
+        each being independent of the basis and of the rows before it."""
+        w = self._reduce(self._as_field(rows))
+        idx = np.arange(len(w))
+        keep = np.any(w != 0, axis=1)
+        w, idx = w[keep], idx[keep]
+        grew = []
+        while len(w):
+            v = w[0]
+            piv = int(np.flatnonzero(v)[0])
+            if self.p is None:
+                v = v / v[piv]
+            else:
+                v = v * pow(int(v[piv]), self.p - 2, self.p) % self.p
+            for block in (self._mat, w[1:]):  # clear the new pivot column
+                hit = np.flatnonzero(block[:, piv])
+                if len(hit):
+                    block[hit] -= block[hit, piv][:, None] * v[None, :]
+                    if self.p is not None:
+                        block[hit] %= self.p
+            at = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), piv))
+            self._mat = np.insert(self._mat, at, v, axis=0)
+            self.pivots.insert(at, piv)
+            grew.append(int(idx[0]))
+            keep = np.any(w[1:] != 0, axis=1)
+            w, idx = w[1:][keep], idx[1:][keep]
+        return grew
 
     def insert(self, v) -> bool:
         """Add v to the span; True iff the dimension grew."""
-        w = self._reduce(self._as_field(v))
-        nz = np.nonzero(w)[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        lead = w[piv]
-        if self.p is None:
-            w = w / lead
-        else:
-            w = (w * pow(int(lead), self.p - 2, self.p)) % self.p
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                row = row - c * w
-                if self.p is not None:
-                    row %= self.p
-                self.rows[i] = row
-        at = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), piv))
-        self.rows.insert(at, w)
-        self.pivots.insert(at, piv)
-        return True
+        return bool(self.insert_many([v]))
 
     def contains(self, v) -> bool:
-        return not np.any(self._reduce(self._as_field(v)))
+        return not np.any(self._reduce(self._as_field([v])))
 
 
 class BlockBasis:
@@ -129,16 +147,19 @@ class BlockBasis:
 
     The coordinates split into cells of the given sizes.  A matrix is
     block-pure when it is zero outside one cell pair Δᵢ×Δₗ; it is held as
-    that block with its pair (i, l).  A space spanned by such matrices is the
-    direct sum of its per-pair parts, so its block dimensions are the dims
-    of the per-pair bases and its dim is their sum.
+    that block with its pair (i, l), or as any `widths[i][l]` coordinates of
+    it.  A space spanned by such matrices is the direct sum of its per-pair
+    parts, so its block dimensions are the dims of the per-pair bases and
+    its dim is their sum.
     """
 
-    def __init__(self, p: int | None, sizes):
+    def __init__(self, p: int | None, sizes, widths=None):
         self.sizes = tuple(sizes)
+        if widths is None:
+            widths = [[a * b for b in self.sizes] for a in self.sizes]
+        c = len(self.sizes)
         self.bases = {
-            (i, l): SubspaceBasis(p, a * b)
-            for (i, a), (l, b) in product(enumerate(self.sizes), repeat=2)
+            (i, l): SubspaceBasis(p, int(widths[i][l])) for i, l in product(range(c), repeat=2)
         }
 
     @property
@@ -153,17 +174,94 @@ class BlockBasis:
         """Add a block-pure matrix to the span; True iff the dimension grew."""
         return self.bases[pair].insert(block.reshape(-1))
 
+    def insert_many(self, pair, blocks) -> list[int]:
+        """SubspaceBasis.insert_many for block-pure matrices of one pair."""
+        return self.bases[pair].insert_many([b.reshape(-1) for b in blocks])
+
     def contains(self, pair, block) -> bool:
         return self.bases[pair].contains(block.reshape(-1))
+
+
+def field_array(m, p: int | None) -> np.ndarray:
+    """An integer array of any shape with its entries in the field: reduced
+    mod p, and Python integers where the arithmetic is exact (see _exact)."""
+    m = np.asarray(m)
+    if _exact(p):
+        flat = [int(x) % p if p else int(x) for x in m.reshape(-1)]
+        return np.array(flat, dtype=object).reshape(m.shape)
+    return m.astype(np.int64) % p
 
 
 def _normalize(m, shape: tuple[int, int], p: int | None) -> np.ndarray:
     m = np.asarray(m)
     if m.shape != shape:
         raise DimMismatch(f"matrix shape {m.shape} != {shape}")
-    if _exact(p):
-        return np.array([[int(x) % p if p else int(x) for x in row] for row in m], dtype=object)
-    return m.astype(np.int64) % p
+    return field_array(m, p)
+
+
+def stack_lefts(ops) -> tuple[np.ndarray, list] | None:
+    """Left operators [(i, op)] on one block, stacked into one matrix, with
+    the rows (i, start, stop) of each; None when there are none."""
+    if not ops:
+        return None
+    bounds, start = [], 0
+    for i, op in ops:
+        bounds.append((i, start, start + len(op)))
+        start += len(op)
+    return np.concatenate([op for _, op in ops]), bounds
+
+
+def block_closure(space: BlockBasis, seeds, lefts, p: int | None, cap: int | None = None):
+    """Close the span of `seeds`, ((i, l), coordinates) pairs, in `space`
+    under left operators: lefts[k, l] is stack_lefts of the (i, op) where op
+    takes the coordinates of a block-(k, l) element to those of a block-(i, l)
+    element as matmul_mod(op, x, p).  Rounds apply every op to every vector
+    the last round inserted, by one product per block, and insert the
+    results, until a round inserts nothing: the result is the least space
+    holding the seeds and closed under every op.
+
+    Returns the spanning pairs actually inserted and the seeds' block
+    dimensions.  Raises ClosureBudgetExceeded once the dimension passes cap
+    (default 4n, n the sum of the cell sizes).
+    """
+    n = sum(space.sizes)
+    budget = 4 * n if cap is None else cap
+    mats: list = []
+
+    def push(candidates: dict) -> dict:
+        """Insert each pair's candidates; the new spanning ones by pair."""
+        added: dict = {}
+        for pair, vs in candidates.items():
+            added[pair] = [vs[t] for t in space.insert_many(pair, vs)]
+            mats.extend((pair, v) for v in added[pair])
+            if space.dim > budget:
+                raise ClosureBudgetExceeded(
+                    f"closure dimension exceeded {budget} on a {n}-vertex space"
+                )
+        return added
+
+    frontier: dict = {}
+    for pair, v in seeds:
+        frontier.setdefault(pair, []).append(v)
+    frontier = push(frontier)
+    seeded = space.blocks()
+    while any(frontier.values()):
+        candidates: dict = {}
+        for (k, l), xs in frontier.items():
+            if not xs or lefts[k, l] is None:
+                continue
+            ops, bounds = lefts[k, l]
+            shape = xs[0].shape[1:]  # () for coordinate vectors
+            width = int(np.prod(shape, dtype=np.int64))
+            cols = np.concatenate([x.reshape(len(x), width) for x in xs], axis=1)
+            products = matmul_mod(ops, cols, p)
+            for i, start, stop in bounds:
+                out = candidates.setdefault((i, l), [])
+                for t in range(len(xs)):
+                    block = products[start:stop, t * width:(t + 1) * width]
+                    out.append(block.reshape((stop - start,) + shape))
+        frontier = push(candidates)
+    return mats, seeded
 
 
 def algebra_closure(
@@ -177,9 +275,9 @@ def algebra_closure(
     With one cell this is the algebra generated by I and gens.
 
     A space holding these seeds and closed under x ↦ g·x for each g in gens
-    holds every word in them, so pushing g·x per spanning matrix x suffices;
-    g·x is zero unless g's column cell is x's row cell, and only those
-    products are formed.
+    holds every word in them, so pushing g·x per spanning matrix x suffices
+    (block_closure); g·x is zero unless g's column cell is x's row cell, and
+    only those products are formed.
 
     Returns the space, the spanning ((i, l), block) pairs actually inserted
     (any product of two with matching inner cells lies in the span, which
@@ -188,38 +286,30 @@ def algebra_closure(
     """
     if not gens:
         raise ValueError("need at least one generator")
-    n = sum(sizes)
-    budget = 4 * n if cap is None else cap
     space = BlockBasis(p, sizes)
-    mats: list = []
-
-    def push(pair, m: np.ndarray) -> None:
-        if space.insert(pair, m):
-            mats.append((pair, m))
-            if space.dim > budget:
-                raise ClosureBudgetExceeded(
-                    f"closure dimension exceeded {budget} on a {n}-vertex space"
-                )
-
-    gens = [((i, l), _normalize(g, (space.sizes[i], space.sizes[l]), p)) for (i, l), g in gens]
-    for i, size in enumerate(space.sizes):
-        push((i, i), _normalize(np.eye(size, dtype=np.int64), (size, size), p))
-    for pair, g in gens:
-        push(pair, g)
-    seeded = space.blocks()
-    lefts = [[(i, g) for (i, l), g in gens if l == k and np.any(g)] for k in range(len(sizes))]
-    for (k, l), x in mats:        # mats grows while it is walked
-        for i, g in lefts[k]:
-            push((i, l), matmul_mod(g, x, p))
+    sizes = space.sizes
+    gens = [((i, l), _normalize(g, (sizes[i], sizes[l]), p)) for (i, l), g in gens]
+    eyes = [((i, i), _normalize(np.eye(a, dtype=np.int64), (a, a), p)) for i, a in enumerate(sizes)]
+    by_inner = [
+        stack_lefts([(i, g) for (i, inner), g in gens if inner == k and np.any(g)])
+        for k in range(len(sizes))
+    ]
+    lefts = {(k, l): by_inner[k] for k, l in product(range(len(sizes)), repeat=2)}
+    mats, seeded = block_closure(space, eyes + gens, lefts, p, cap)
     return space, mats, seeded
 
 
-def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> None:
+def closure_product_selftest(space: BlockBasis, mats: list, p: int | None, multiply=None) -> None:
     """Membership of 50 random spanning-matrix products back in the span; the
     second factor is drawn among those whose row cell is the first's column
-    cell, since other products are zero."""
+    cell, since other products are zero.  `multiply(x_pair, x, y_pair, y)`
+    gives a product in the coordinates of `space`; by default the spanning
+    elements are the blocks themselves and it is matmul_mod."""
     if not mats:
         return
+    if multiply is None:
+        def multiply(x_pair, x, y_pair, y):
+            return matmul_mod(x, y, p)
     rows = {}
     for idx, ((k, _), _) in enumerate(mats):
         rows.setdefault(k, []).append(idx)
@@ -229,7 +319,7 @@ def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> No
         (a, k), x = mats[i]
         j = rows[k][int(rng.integers(len(rows[k])))]
         (_, l), y = mats[j]
-        if not space.contains((a, l), matmul_mod(x, y, p)):
+        if not space.contains((a, l), multiply((a, k), x, (k, l), y)):
             raise ClosureSelfTestFailed(
                 f"product of spanning matrices {i} and {j} lies outside the span"
             )

@@ -30,10 +30,6 @@ class DegreeMismatch(ValueError):
     pass
 
 
-class CellNotInvariant(ValueError):
-    pass
-
-
 def identity(n: int) -> Perm:
     return tuple(range(n))
 
@@ -430,32 +426,23 @@ def transitivity_rank(group: GroupBSGS, n: int) -> tuple[bool, int | None]:
     return True, int(np.count_nonzero(group.orbit_labels(1) == np.arange(n)))
 
 
-def orbital_count_block(stab_gens, cell_i, cell_j) -> int:
-    """Orbits of the stabilizer acting diagonally on cell_i x cell_j.
+class _PairImages:
+    """Generators acting diagonally on ordered pairs, (x, y) numbered
+    x * n + y.  Each pass over it makes one generator's pair permutation at
+    a time, so only one n²-entry array is held at once."""
 
-    Pair (u, v) is numbered a * |cell_j| + b by the positions of u and v in
-    the sorted cells; each generator becomes one permutation of those
-    numbers, and the orbits are counted by label propagation.
-    """
-    cell_i = np.unique(np.asarray(cell_i, dtype=np.intp))
-    cell_j = np.unique(np.asarray(cell_j, dtype=np.intp))
-    if not len(stab_gens):
-        return len(cell_i) * len(cell_j)
-    gens = np.array(stab_gens, dtype=np.intp)
-    n = gens.shape[1]
-    pair_perms = []
-    wj = len(cell_j)
-    pos_i = np.full(n, -1, dtype=np.intp)
-    pos_i[cell_i] = np.arange(len(cell_i))
-    pos_j = np.full(n, -1, dtype=np.intp)
-    pos_j[cell_j] = np.arange(wj)
-    for g in gens:
-        gi, gj = pos_i[g[cell_i]], pos_j[g[cell_j]]
-        if (gi < 0).any() or (gj < 0).any():
-            raise CellNotInvariant("generator does not preserve the cell setwise")
-        pair_perms.append((gi[:, None] * wj + gj[None, :]).ravel())
-    size = len(cell_i) * wj
-    return int(np.count_nonzero(_orbit_labels(pair_perms, size) == np.arange(size)))
+    def __init__(self, gens: np.ndarray, n: int):
+        self.gens, self.n = gens, n
+
+    def __iter__(self):
+        for g in self.gens:
+            yield (g[:, None] * self.n + g[None, :]).reshape(-1)
+
+
+def pair_orbit_labels(gens, n: int) -> np.ndarray:
+    """Orbits of the group generated by gens on ordered pairs: entry (x, y)
+    is the least number x' * n + y' of a pair in the orbit of (x, y)."""
+    return _orbit_labels(_PairImages(_as_arrays(gens, n), n), n * n).reshape(n, n)
 
 
 # -- generator file format ---------------------------------------------------

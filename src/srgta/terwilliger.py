@@ -10,9 +10,12 @@ nest:
 
 Dimensions and 3×3 block decompositions of all three are computed exactly:
 T₀ and T as the first step and the fixed point of one block-by-block
-closure per field (t0_t_report), T̃ by counting stabilizer orbitals.  A
-floating-point cross-check of dim T from subconstituent spectra is provided
-as an advisory, never a verdict source.
+closure per field (t0_t_report), T̃ by counting stabilizer orbitals on
+pairs (PairOrbitals).  Since T ⊆ T̃, the closure can run on those orbitals'
+coordinates instead of matrix entries (Bannai & Munemasa, Kyushu J. Math.
+49, 1995), or be skipped when T₀ already fills T̃.  A floating-point
+cross-check of dim T from subconstituent spectra is provided as an
+advisory, never a verdict source.
 """
 
 from __future__ import annotations
@@ -34,13 +37,23 @@ from .graphcore import (
     subconstituents,
     vertex_partition,
 )
-from .linalg import PrimeDisagreement, algebra_closure, closure_product_selftest
+from .linalg import (
+    BlockBasis,
+    ClosureSelfTestFailed,
+    PrimeDisagreement,
+    algebra_closure,
+    block_closure,
+    closure_product_selftest,
+    field_array,
+    matmul_mod,
+    stack_lefts,
+)
 from .permgroup import (
     GroupBSGS,
     based_at,
     orbit_count,
-    orbital_count_block,
     orbits,
+    pair_orbit_labels,
     transitivity_rank,
     two_point_stabilizer,
 )
@@ -54,6 +67,10 @@ class OracleMismatch(RuntimeError):
 
 class InternalDisagreement(RuntimeError):
     """Two independent computations of dim T̃ differ."""
+
+
+class CellNotInvariant(ValueError):
+    """A group meant to fix ω moves a pair across cells or relations."""
 
 
 class _Inconclusive:
@@ -82,8 +99,156 @@ def _sandwiches(g: Graph, omega: int) -> tuple[list, list[int]]:
     return gens, [len(cell) for cell in cells]
 
 
+_PAIRS = tuple(product(range(3), repeat=2))
+
+
+@dataclass(frozen=True)
+class PairOrbitals:
+    """The orbitals of G_ω on Ω×Ω, labelled once for T₀, T and T̃.
+
+    Vertices are put in cell order (Δ₀, Δ₁, Δ₂, each sorted), so that cell i
+    is the slice `cells[i]` of positions and every matrix here is indexed by
+    positions.  G_ω keeps each cell and each relation (0 equal, 1 adjacent,
+    2 other), so an orbital lies in one cell pair Δᵢ×Δₗ and one relation.
+    The orbitals of a cell pair are numbered from 0 in the order of their
+    least pairs (x, y), ordered by x·n + y: `labels[x, y]` is the number of
+    the orbital of (x, y) and `reps[i, l]` holds the least pairs in that
+    order.  A matrix that commutes with G_ω is constant on orbitals, so its
+    block (i, l) is the vector of its values at `reps[i, l]`: its
+    coordinates.
+    """
+
+    cells: tuple[slice, ...]
+    relation: np.ndarray
+    labels: np.ndarray
+    reps: dict
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """Orbitals per cell pair: the block dimensions of T̃."""
+        return np.array([[len(self.reps[i, l]) for l in range(3)] for i in range(3)])
+
+    def kinds(self, pair) -> np.ndarray:
+        """The relation of each orbital of the cell pair."""
+        xs, ys = self.reps[pair].T
+        return self.relation[xs, ys]
+
+    def block(self, pair) -> np.ndarray:
+        i, l = pair
+        return self.labels[self.cells[i], self.cells[l]]
+
+
+def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
+    """The orbitals of G_ω on Ω×Ω, G_ω read off `group`'s chain rebased at ω.
+    Raises CellNotInvariant if an orbital meets two cell pairs or two
+    relations, which no group of automorphisms does."""
+    n = g.n
+    cells = vertex_partition(g, omega).cells
+    order = np.concatenate([np.array(c, dtype=np.intp) for c in cells])
+    where = np.empty(n, dtype=np.intp)
+    where[order] = np.arange(n)
+    ends = np.cumsum([0] + [len(c) for c in cells])
+    cell = np.repeat(np.arange(3, dtype=np.int8), np.diff(ends))
+    relation = 2 - g.adjacency_dense()[np.ix_(order, order)] - 2 * np.eye(n, dtype=np.int8)
+    # G_ω on positions: the generator g sends position x to where[g[order[x]]]
+    stab = [where[np.asarray(s)[order]] for s in based_at(group, omega).stabilizer_gens(1)]
+    least = pair_orbit_labels(stab, n).reshape(-1)
+    key = ((3 * cell[:, None] + cell[None, :]) * 3 + relation).reshape(-1)
+    if np.any(key[least] != key):
+        raise CellNotInvariant("G_ω orbitals straddle the cells or relations at ω")
+    roots = np.flatnonzero(least == np.arange(n * n))
+    pair_code = key[roots] // 3
+    local = np.empty(len(roots), dtype=np.intp)
+    reps = {}
+    for code, pair in enumerate(_PAIRS):
+        mine = pair_code == code
+        local[mine] = np.arange(np.count_nonzero(mine))
+        reps[pair] = np.stack(np.divmod(roots[mine], n), axis=1)
+    index = np.empty(n * n, dtype=np.intp)
+    index[roots] = local
+    slices = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+    return PairOrbitals(slices, relation, index[least].reshape(n, n), reps)
+
+
+def _orbital_operators(orb: PairOrbitals) -> dict:
+    """T's generators acting on orbital coordinates: for each (k, l), the
+    (i, L) with L the matrix of x ↦ E*ᵢA_jE*ₖ·x from block (k, l) to block
+    (i, l), j = 1, 2.  The product commutes with G_ω, so its coordinate c is
+    its value at the least pair (x_c, y_c): entry (c, b) of L counts the
+    z ∈ Δₖ in relation j to x_c with (z, y_c) in orbital b."""
+    ops = {pair: [] for pair in _PAIRS}
+    for i, k, l in product(range(3), repeat=3):
+        xs, ys = orb.reps[i, l].T
+        rows, cols = len(xs), len(orb.reps[k, l])
+        rel = orb.relation[xs, orb.cells[k]].astype(np.intp)
+        code = ((rel - 1) * rows + np.arange(rows)[:, None]) * cols + orb.labels[orb.cells[k], ys].T
+        counts = np.bincount(code[rel > 0], minlength=2 * rows * cols).reshape(2, rows, cols)
+        ops[k, l] += [(i, op) for op in counts if op.any()]
+    return ops
+
+
+def _orbital_closure(orb: PairOrbitals, ops: dict, p: int | None, selftest: bool):
+    """T₀'s and T's block dimensions over one field, in orbital coordinates;
+    `ops` is _orbital_operators(orb)."""
+    space = BlockBasis(p, [c.stop - c.start for c in orb.cells], widths=orb.blocks)
+    seeds = []
+    for pair in _PAIRS:  # the nonzero sandwiches, one per relation present
+        kinds = orb.kinds(pair)
+        seeds += [(pair, field_array(kinds == j, p)) for j in np.unique(kinds)]
+    lefts = {
+        pair: stack_lefts([(i, field_array(op, p)) for i, op in pair_ops])
+        for pair, pair_ops in ops.items()
+    }
+    mats, seeded = block_closure(space, seeds, lefts, p)
+    if selftest:
+
+        def multiply(x_pair, x, y_pair, y):
+            # the product of two elements of T̃, formed densely: it must be
+            # constant on orbitals, and its coordinates are then its values
+            pair = (x_pair[0], y_pair[1])
+            dense = matmul_mod(x[orb.block(x_pair)], y[orb.block(y_pair)], p)
+            labels = orb.block(pair)
+            coords = np.empty(len(orb.reps[pair]), dtype=dense.dtype)
+            coords[labels] = dense
+            if np.any(coords[labels] != dense):
+                raise ClosureSelfTestFailed("a product is not constant on the orbitals of G_ω")
+            return coords
+
+        closure_product_selftest(space, mats, p, multiply)
+    return seeded, space.blocks()
+
+
+def _dense_closure(g: Graph, omega: int, p: int | None, selftest: bool):
+    """T₀'s and T's block dimensions over one field, block by block."""
+    gens, sizes = _sandwiches(g, omega)
+    space, mats, seeded = algebra_closure(gens, sizes, p)
+    if selftest:
+        closure_product_selftest(space, mats, p)
+    return seeded, space.blocks()
+
+
+def _t_path(orb: PairOrbitals | None) -> str:
+    """How T is computed.  Without orbitals, by the dense closure.  When
+    every orbital is a sandwich, dim T₀ is the number k of orbitals and
+    T₀ ⊆ T ⊆ T̃ pins T = T₀ ("sandwich").  Otherwise in orbital coordinates
+    when the operators, Σᵢₖₗ kᵢₗ·kₖₗ entries, are at most n³, the dense
+    closure's multiply-adds for one product per cell triple ("orbital");
+    else, as for trivial groups (k = n²), densely."""
+    if orb is None:
+        return "dense"
+    blocks = orb.blocks
+    if sum(len(np.unique(orb.kinds(pair))) for pair in _PAIRS) == blocks.sum():
+        return "sandwich"
+    n = len(orb.relation)
+    return "orbital" if np.sum(blocks.sum(axis=0) ** 2) <= n**3 else "dense"
+
+
 def t0_t_report(
-    g: Graph, omega: int = 0, primes=DEFAULT_PRIMES, rational: bool = False
+    g: Graph,
+    omega: int = 0,
+    primes=DEFAULT_PRIMES,
+    rational: bool = False,
+    orbitals: PairOrbitals | None = None,
 ) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
     """(dim, 3×3 block dimensions) of T₀ and of T, from one closure per field.
 
@@ -91,22 +256,31 @@ def t0_t_report(
     ⊕ E*ᵢTE*ₗ, so the closure runs block by block: its seeds are the nonzero
     sandwiches (those with j = 0 are the E*ᵢ), and it multiplies on the left
     by those with j ∈ {1, 2}.  The span of the seeds is T₀, the fixed point
-    is T.  Over ℚ alone when `rational`, else over GF(p) for each of
-    `primes`, which must agree (PrimeDisagreement); the closure self-test
-    runs over the first field.  T₀ is cross-validated against the closed-form
-    intersection numbers: its block (i, k) must have as many dimensions as
-    there are nonzero pᵢⱼᵏ over j (OracleMismatch).
+    is T.  Given `orbitals`, the pair labelling at ω, T lies in T̃ and may be
+    pinned by T₀ or closed in orbital coordinates instead (_t_path).  Over ℚ
+    alone when `rational`, else over GF(p) for each of `primes`, which must
+    agree (PrimeDisagreement); the closure self-test runs over the first
+    field.  T₀ is cross-validated against the closed-form intersection
+    numbers: its block (i, k) must have as many dimensions as there are
+    nonzero pᵢⱼᵏ over j (OracleMismatch).
     """
+    t0, t, _ = _t0_t(g, omega, primes, rational, orbitals)
+    return t0, t
+
+
+def _t0_t(g, omega, primes, rational, orbitals):
+    """t0_t_report's two results, and the path T took (_t_path)."""
     params = require_srg(g)
     check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")
-    gens, sizes = _sandwiches(g, omega)
     fields = (None,) if rational else tuple(primes)
-    results = []
-    for idx, p in enumerate(fields):
-        space, mats, seeded = algebra_closure(gens, sizes, p)
-        if idx == 0:
-            closure_product_selftest(space, mats, p)
-        results.append((seeded, space.blocks()))
+    path = _t_path(orbitals)
+    if path == "sandwich":  # T₀ = T = T̃ over every field
+        results = [(orbitals.blocks, orbitals.blocks)]
+    elif path == "orbital":
+        ops = _orbital_operators(orbitals)
+        results = [_orbital_closure(orbitals, ops, p, idx == 0) for idx, p in enumerate(fields)]
+    else:
+        results = [_dense_closure(g, omega, p, idx == 0) for idx, p in enumerate(fields)]
     for label, per_field in zip(("T0", "T"), zip(*results)):
         dims = {int(blocks.sum()) for blocks in per_field}
         if len(dims) != 1:
@@ -121,26 +295,29 @@ def t0_t_report(
             f"span dim {blocks0.sum()}, blocks {blocks0.tolist()} != nonzero "
             f"intersection-number count {expected.sum()}, blocks {expected.tolist()}"
         )
-    return (int(blocks0.sum()), blocks0), (int(blocks1.sum()), blocks1)
+    return (int(blocks0.sum()), blocks0), (int(blocks1.sum()), blocks1), path
 
 
-def t_tilde_report(g: Graph, group: GroupBSGS, omega: int = 0) -> tuple[int, np.ndarray]:
+def t_tilde_report(
+    g: Graph, group: GroupBSGS, omega: int = 0, orbitals: PairOrbitals | None = None
+) -> tuple[int, np.ndarray]:
     """dim and block dimensions of the stabilizer centralizer algebra.
 
     The dimension is the orbital count of G_ω, computed two independent
-    ways: nine per-block orbit counts on Δᵢ×Δⱼ, and a sum over G_ω-orbit
-    representatives x of the orbit count of the two-point stabilizer
-    G_ω ∩ G_x.  Disagreement raises InternalDisagreement.  `group` is
-    rebased at ω once, only if its base does not already start there.
+    ways: the orbitals per cell pair of the pair labelling (`orbitals`, by
+    default labelled here), and a sum over G_ω-orbit representatives x of
+    the orbit count of the two-point stabilizer G_ω ∩ G_x.  Disagreement
+    raises InternalDisagreement.  `group` is rebased at ω once, only if its
+    base does not already start there.
     """
     require_srg(g)
-    cells = vertex_partition(g, omega).cells
     group = based_at(group, omega)
-    stab = group.stabilizer_gens(1)
-    blocks = np.array([[orbital_count_block(stab, a, b) for b in cells] for a in cells])
+    if orbitals is None:
+        orbitals = pair_orbitals(g, group, omega)
+    blocks = orbitals.blocks
     total = int(blocks.sum())
 
-    stab_orbits = orbits(stab, g.n)
+    stab_orbits = orbits(group.stabilizer_gens(1), g.n)
     stab_sum = len(stab_orbits)  # x = ω, where G_ω ∩ G_x is G_ω itself
     for orb in stab_orbits:
         if orb[0] != omega:
@@ -205,6 +382,10 @@ class AlgebraReport:
     verdicts: dict
     aut_order: int
     flags: list[str] = field(default_factory=list)
+    # how the report was computed, outside the JSON: "t_path" is "sandwich",
+    # "orbital" or "dense" (see _t_path) and "orbitals" the number k of
+    # G_ω-orbitals on pairs
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         t0, t, tt = self.dims["t0"], self.dims["t"], self.dims["t_tilde"]
@@ -263,8 +444,10 @@ def analyze_vertex(
     """Assemble the three reports and verdicts for one base vertex; `group`
     is the automorphism group's stabilizer chain, on any base."""
     params = require_srg(g)
-    (dim0, blocks0), (dim1, blocks1) = t0_t_report(g, omega, primes, rational)
-    dim2, blocks2 = t_tilde_report(g, group, omega)
+    group = based_at(group, omega)
+    orbitals = pair_orbitals(g, group, omega)
+    (dim0, blocks0), (dim1, blocks1), path = _t0_t(g, omega, primes, rational, orbitals)
+    dim2, blocks2 = t_tilde_report(g, group, omega, orbitals)
     transitive, rank = transitivity_rank(group, g.n)
     rank3 = bool(transitive and rank == 3)
     equality = dim0 == dim1 == dim2
@@ -295,6 +478,7 @@ def analyze_vertex(
         },
         aut_order=group.order,
         flags=flags,
+        stats={"t_path": path, "orbitals": dim2},
     )
     if rank3:
         b = report.blocks["t_tilde"]

@@ -10,7 +10,6 @@ from srgta.autgrp import automorphism_group
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import ParseError, VertexOutOfRange, complement
 from srgta.permgroup import (
-    CellNotInvariant,
     DegreeMismatch,
     compose,
     extend,
@@ -18,8 +17,8 @@ from srgta.permgroup import (
     inverse,
     orbit,
     orbit_count,
-    orbital_count_block,
     orbits,
+    pair_orbit_labels,
     point_stabilizer,
     read_generators,
     schreier_sims,
@@ -256,72 +255,48 @@ class _UnionFind:
             self.count -= 1
 
 
-def _orbital_count_block_reference(stab_gens, cell_i, cell_j):
-    """The per-pair union-find count that the vectorized one replaced."""
-    cell_i = sorted(cell_i)
-    cell_j = sorted(cell_j)
-    pos_i = {v: a for a, v in enumerate(cell_i)}
-    pos_j = {v: a for a, v in enumerate(cell_j)}
-    for g in stab_gens:
-        if any(g[v] not in pos_i for v in cell_i) or any(g[v] not in pos_j for v in cell_j):
-            raise CellNotInvariant("generator does not preserve the cell setwise")
-    wj = len(cell_j)
-    uf = _UnionFind(len(cell_i) * wj)
-    for g in stab_gens:
-        for a, u in enumerate(cell_i):
-            ga = pos_i[g[u]] * wj
-            base = a * wj
-            for b, v in enumerate(cell_j):
-                uf.union(base + b, ga + pos_j[g[v]])
-    return uf.count
+def _pair_orbit_labels_reference(gens, n):
+    """Per-pair union-find over all ordered pairs, labelled by least pair."""
+    uf = _UnionFind(n * n)
+    for g in gens:
+        for x in range(n):
+            for y in range(n):
+                uf.union(x * n + y, g[x] * n + g[y])
+    least = {}
+    for pair in range(n * n):
+        root = uf.find(pair)
+        least.setdefault(root, pair)
+    return [[least[uf.find(x * n + y)] for y in range(n)] for x in range(n)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9), st.data())
-def test_orbital_count_block_matches_reference(n, data):
+def test_pair_orbit_labels_match_reference(n, data):
     perm = st.permutations(range(n)).map(tuple)
     gens = data.draw(st.lists(perm, max_size=3), label="gens")
-    parts = orbits(gens, n) if gens else [[x] for x in range(n)]
-
-    def invariant_cell(label):
-        chosen = data.draw(st.sets(st.sampled_from(range(len(parts))), min_size=1), label=label)
-        return [x for k in sorted(chosen) for x in parts[k]]
-
-    ci, cj = invariant_cell("cell_i"), invariant_cell("cell_j")
-    assert orbital_count_block(gens, ci, cj) == _orbital_count_block_reference(gens, ci, cj)
-    # a proper subset of a moved orbit is not invariant under the generators
-    moved = [part for part in parts if len(part) > 1]
-    if moved:
-        part = data.draw(st.sampled_from(moved), label="split orbit")
-        piece = part[: data.draw(st.integers(1, len(part) - 1), label="piece")]
-        for f in (orbital_count_block, _orbital_count_block_reference):
-            with pytest.raises(CellNotInvariant):
-                f(gens, piece, cj)
-            with pytest.raises(CellNotInvariant):
-                f(gens, ci, piece)
+    labels = pair_orbit_labels(gens, n)
+    assert labels.tolist() == _pair_orbit_labels_reference(gens, n)
 
 
-def test_orbital_count_block():
+def test_pair_orbit_labels_on_the_pentagon():
     d5 = schreier_sims([ROT5, FLIP5])
     stab = point_stabilizer(d5, 0)
-    assert orbital_count_block(stab, (0,), (0,)) == 1
-    assert orbital_count_block(stab, (0,), (1, 2, 3, 4)) == 2
+    labels = pair_orbit_labels(stab, 5)
+    assert labels[0, 0] == 0 and labels[2, 3] == 2 * 5 + 3
+    assert labels[0, 4] == labels[0, 1] == 1
     # the stabilizer is {id, flip}; the flip fixes none of 1..4, so the 16
-    # ordered pairs fall into 8 two-element orbits
-    assert orbital_count_block(stab, (1, 2, 3, 4), (1, 2, 3, 4)) == 8
-    assert orbital_count_block(stab, (1, 2, 3, 4), (0,)) == orbital_count_block(
-        stab, (0,), (1, 2, 3, 4)
-    )
-    with pytest.raises(CellNotInvariant):
-        orbital_count_block([ROT5], (0,), (1, 2, 3, 4))
+    # ordered pairs on them fall into 8 two-element orbits
+    assert len({int(x) for x in labels[1:, 1:].ravel()}) == 8
+    assert pair_orbit_labels([], 3).tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
 
 def test_orbital_blocks_sum_to_stabilizer_orbit_count_on_pairs():
     d5 = schreier_sims([ROT5, FLIP5])
     stab = point_stabilizer(d5, 0)
     cells = ((0,), (1, 4), (2, 3))  # orbits of the stabilizer
+    labels = pair_orbit_labels(stab, 5)
     total = sum(
-        orbital_count_block(stab, ci, cj) for ci in cells for cj in cells
+        len({int(labels[x, y]) for x in ci for y in cj}) for ci in cells for cj in cells
     )
     # brute force: orbits of the stabilizer acting on all ordered pairs
     pairs = {(x, y) for x in range(5) for y in range(5)}

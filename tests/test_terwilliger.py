@@ -5,21 +5,28 @@ the inner span from the closed-form intersection-number count, the outer one
 from orbit counts of automorphism groups known in closed form.
 """
 
+import json
+from itertools import product
+
 import numpy as np
 import pytest
+from test_autgrp import SMALL_GROUP_SQUARE, latin_square_graph
 
 from srgta.autgrp import automorphism_group
 from srgta.classifier import intersection_numbers
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import ImprimitiveParams, require_srg, vertex_partition
-from srgta.permgroup import schreier_sims
+from srgta.exactmath import DEFAULT_PRIMES
+from srgta.permgroup import based_at, point_stabilizer, schreier_sims
 from srgta import terwilliger
 from srgta.terwilliger import (
     AlgebraReport,
+    CellNotInvariant,
     Inconclusive,
     InternalDisagreement,
     analyze_vertex,
     OracleMismatch,
+    pair_orbitals,
     t0_t_report,
     t_dim_spectral_crosscheck,
     t_tilde_report,
@@ -213,3 +220,91 @@ def test_inconclusive_sentinel_is_falsy():
     assert not Inconclusive
     assert repr(Inconclusive) == "Inconclusive"
     assert Inconclusive != 15
+
+
+# -- orbital coordinates against the dense closure ------------------------------
+
+FIELDS = [{}, {"primes": (65521, 65519)}, {"primes": (2147483659,)}, {"rational": True}]
+
+
+def _orbital_blocks_by_brute_force(g, group):
+    """Orbits of G_ω on each cell pair, by walking every ordered pair."""
+    stab = point_stabilizer(group, 0)
+    cells = vertex_partition(g, 0).cells
+    cell = {v: i for i, c in enumerate(cells) for v in c}
+    blocks = np.zeros((3, 3), dtype=int)
+    seen = set()
+    for pair in product(range(g.n), repeat=2):
+        if pair in seen:
+            continue
+        blocks[cell[pair[0]], cell[pair[1]]] += 1
+        frontier = [pair]
+        while frontier:
+            x, y = frontier.pop()
+            if (x, y) not in seen:
+                seen.add((x, y))
+                frontier += [(s[x], s[y]) for s in stab]
+    return blocks
+
+
+def _differential(g, fields):
+    """T₀, T and T̃ from the pair labelling equal the dense closure and a
+    brute-force orbital count; the orbital closure is run whatever _t_path
+    picks.  Returns the path the verdict pipeline takes."""
+    group = based_at(automorphism_group(g).group, 0)
+    orb = pair_orbitals(g, group, 0)
+    assert np.array_equal(orb.blocks, _orbital_blocks_by_brute_force(g, group))
+    assert np.array_equal(t_tilde_report(g, group, 0)[1], orb.blocks)
+    ops = terwilliger._orbital_operators(orb)
+    for kwargs in fields:
+        dense = t0_t_report(g, **kwargs)
+        assert [d for d, _ in t0_t_report(g, orbitals=orb, **kwargs)] == [d for d, _ in dense]
+        primes = (None,) if kwargs.get("rational") else kwargs.get("primes", DEFAULT_PRIMES)
+        for p in primes:
+            seeded, closed = terwilliger._orbital_closure(orb, ops, p, True)
+            assert np.array_equal(seeded, dense[0][1]) and np.array_equal(closed, dense[1][1])
+    return terwilliger._t_path(orb)
+
+
+@pytest.mark.parametrize(
+    "tag,params,path",
+    [
+        ("cycle", (5,), "sandwich"),
+        ("grid", (3,), "sandwich"),
+        ("grid", (4,), "sandwich"),
+        ("paley", (13,), "orbital"),
+        ("paley", (17,), "orbital"),
+        ("johnson", (5,), "orbital"),
+        ("johnson", (6,), "orbital"),
+        ("multipartite", (3, 3), "sandwich"),
+        ("vo", (-1, 2, 2), "sandwich"),
+        ("peisert", (3, 1), "sandwich"),
+        ("paley", (41,), "orbital"),
+    ],
+)
+def test_orbital_path_matches_dense_closure(tag, params, path):
+    # the sandwich cases are the triply transitive graphs, where T₀ = T̃
+    g = construct(FamilySpec(tag, params))
+    assert _differential(g, FIELDS if g.n <= 17 else FIELDS[:2]) == path
+
+
+def test_orbital_path_matches_dense_closure_on_a_small_group():
+    g = latin_square_graph(SMALL_GROUP_SQUARE, range(25))
+    assert _differential(g, FIELDS) == "orbital"
+
+
+def test_report_stats_name_the_t_path(petersen, clebsch, paley13):
+    for g, path, k in ((clebsch, "sandwich", 14), (paley13, "orbital", 29)):
+        report = full_report(g)
+        assert report.stats == {"t_path": path, "orbitals": k}
+        assert "stats" not in json.loads(report.to_json())
+    trivial = analyze_vertex(petersen, schreier_sims([], n=10), 0)
+    assert trivial.stats == {"t_path": "dense", "orbitals": 100}
+
+
+def test_pair_orbitals_reject_a_group_that_moves_the_cells(petersen):
+    # a transposition of ω's neighbour 7 with the non-neighbour 1
+    swap = list(range(10))
+    swap[1], swap[7] = 7, 1
+    with pytest.raises(CellNotInvariant):
+        pair_orbitals(petersen, schreier_sims([tuple(swap)], base_prefix=(0,)), 0)
