@@ -8,14 +8,14 @@ can only drop relative to the rationals, and only for finitely many p, so
 agreement across two independent primes (plus an optional all-rational
 mode) is the correctness bar.
 
-Every product is matmul_mod's, echelon reductions included: BLAS float64
-whenever n·(p−1)² < 2⁵³ makes it exact, which holds for the default 20-bit
-primes up to the closure size guard, exact integers otherwise, and
-unreduced over ℚ (p=None).
+Every product is matmul_mod's: BLAS float64 whenever n·(p−1)² < 2⁵³ makes it
+exact, which holds for the default 20-bit primes up to the closure size guard,
+exact integers otherwise, and unreduced over ℚ (p=None).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -58,88 +58,71 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
     return (a.astype(object) @ b.astype(object)) % p
 
 
+@dataclass
 class SubspaceBasis:
     """Reduced echelon basis of a subspace of GF(p)^ncols.
 
     p=None switches every entry to Fraction for the rational verification
     mode; the interface is identical, just slower.  Past 31-bit primes the
     entries are Python integers too (see _exact).
-
-    The rows are held as one matrix, ordered by pivot.  Each pivot column is
-    zero outside its own row, so a vector's coefficient on a row is its
-    entry at that row's pivot, and reducing it is one product.
     """
 
-    def __init__(self, p: int | None, ncols: int):
-        self.p = p
-        self.ncols = ncols
-        self.pivots: list[int] = []
-        self._mat = np.empty((0, ncols), dtype=object if _exact(p) else np.int64)
+    p: int | None
+    ncols: int
+    rows: list[np.ndarray] = field(default_factory=list)
+    pivots: list[int] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
-    @property
-    def rows(self) -> list[np.ndarray]:
-        return list(self._mat)
-
-    def _as_field(self, rows) -> np.ndarray:
-        """The rows (one vector, or a list or matrix of them) as a field
-        matrix."""
-        m = np.asarray(rows)
-        m = m.reshape(-1, m.shape[-1]) if m.size else m.reshape(-1, self.ncols)
-        if m.shape[1] != self.ncols:
-            raise DimMismatch(f"vector length {m.shape[1]} != {self.ncols}")
+    def _as_field(self, v) -> np.ndarray:
+        if len(v) != self.ncols:
+            raise DimMismatch(f"vector length {len(v)} != {self.ncols}")
         if self.p is None:
-            flat = [x if isinstance(x, Fraction) else Fraction(int(x)) for x in m.reshape(-1)]
-            return np.array(flat, dtype=object).reshape(m.shape)
-        return field_array(m, self.p)
+            return np.array(
+                [x if isinstance(x, Fraction) else Fraction(int(x)) for x in v],
+                dtype=object,
+            )
+        if _exact(self.p):
+            return np.array([int(x) % self.p for x in v], dtype=object)
+        return np.asarray(v, dtype=np.int64) % self.p
 
-    def _reduce(self, w: np.ndarray) -> np.ndarray:
-        """Rows reduced against the basis: zero at every pivot."""
-        if not self.pivots:
-            return w
-        coeffs = w[:, self.pivots]
-        if self.p is None:
-            return w - coeffs @ self._mat
-        return (w - matmul_mod(coeffs, self._mat, self.p)) % self.p
-
-    def insert_many(self, rows) -> list[int]:
-        """Add the rows in order; the indices of those that grew the span,
-        each being independent of the basis and of the rows before it."""
-        w = self._reduce(self._as_field(rows))
-        idx = np.arange(len(w))
-        keep = np.any(w != 0, axis=1)
-        w, idx = w[keep], idx[keep]
-        grew = []
-        while len(w):
-            v = w[0]
-            piv = int(np.flatnonzero(v)[0])
-            if self.p is None:
-                v = v / v[piv]
-            else:
-                v = v * pow(int(v[piv]), self.p - 2, self.p) % self.p
-            for block in (self._mat, w[1:]):  # clear the new pivot column
-                hit = np.flatnonzero(block[:, piv])
-                if len(hit):
-                    block[hit] -= block[hit, piv][:, None] * v[None, :]
-                    if self.p is not None:
-                        block[hit] %= self.p
-            at = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), piv))
-            self._mat = np.insert(self._mat, at, v, axis=0)
-            self.pivots.insert(at, piv)
-            grew.append(int(idx[0]))
-            keep = np.any(w[1:] != 0, axis=1)
-            w, idx = w[1:][keep], idx[1:][keep]
-        return grew
+    def _reduce(self, v: np.ndarray) -> np.ndarray:
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                v = v - c * row
+                if self.p is not None:
+                    v %= self.p
+        return v
 
     def insert(self, v) -> bool:
         """Add v to the span; True iff the dimension grew."""
-        return bool(self.insert_many([v]))
+        w = self._reduce(self._as_field(v))
+        nz = np.nonzero(w)[0]
+        if len(nz) == 0:
+            return False
+        piv = int(nz[0])
+        lead = w[piv]
+        if self.p is None:
+            w = w / lead
+        else:
+            w = (w * pow(int(lead), self.p - 2, self.p)) % self.p
+        for i, row in enumerate(self.rows):
+            c = row[piv]
+            if c:
+                row = row - c * w
+                if self.p is not None:
+                    row %= self.p
+                self.rows[i] = row
+        at = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), piv))
+        self.rows.insert(at, w)
+        self.pivots.insert(at, piv)
+        return True
 
     def contains(self, v) -> bool:
-        return not np.any(self._reduce(self._as_field([v])))
+        return not np.any(self._reduce(self._as_field(v)))
 
 
 class BlockBasis:
@@ -174,10 +157,6 @@ class BlockBasis:
         """Add a block-pure matrix to the span; True iff the dimension grew."""
         return self.bases[pair].insert(block.reshape(-1))
 
-    def insert_many(self, pair, blocks) -> list[int]:
-        """SubspaceBasis.insert_many for block-pure matrices of one pair."""
-        return self.bases[pair].insert_many([b.reshape(-1) for b in blocks])
-
     def contains(self, pair, block) -> bool:
         return self.bases[pair].contains(block.reshape(-1))
 
@@ -189,7 +168,7 @@ def field_array(m, p: int | None) -> np.ndarray:
     if _exact(p):
         flat = [int(x) % p if p else int(x) for x in m.reshape(-1)]
         return np.array(flat, dtype=object).reshape(m.shape)
-    return m.astype(np.int64) % p
+    return m.astype(np.int64, copy=False) % p
 
 
 def _normalize(m, shape: tuple[int, int], p: int | None) -> np.ndarray:
@@ -215,10 +194,10 @@ def block_closure(space: BlockBasis, seeds, lefts, p: int | None, cap: int | Non
     """Close the span of `seeds`, ((i, l), coordinates) pairs, in `space`
     under left operators: lefts[k, l] is stack_lefts of the (i, op) where op
     takes the coordinates of a block-(k, l) element to those of a block-(i, l)
-    element as matmul_mod(op, x, p).  Rounds apply every op to every vector
-    the last round inserted, by one product per block, and insert the
-    results, until a round inserts nothing: the result is the least space
-    holding the seeds and closed under every op.
+    element as matmul_mod(op, x, p).  The inserted vectors are walked in
+    insertion order and every op·x is pushed, all ops on x by one product,
+    so the result is the least space holding the seeds and closed under
+    every op.
 
     Returns the spanning pairs actually inserted and the seeds' block
     dimensions.  Raises ClosureBudgetExceeded once the dimension passes cap
@@ -228,39 +207,24 @@ def block_closure(space: BlockBasis, seeds, lefts, p: int | None, cap: int | Non
     budget = 4 * n if cap is None else cap
     mats: list = []
 
-    def push(candidates: dict) -> dict:
-        """Insert each pair's candidates; the new spanning ones by pair."""
-        added: dict = {}
-        for pair, vs in candidates.items():
-            added[pair] = [vs[t] for t in space.insert_many(pair, vs)]
-            mats.extend((pair, v) for v in added[pair])
+    def push(pair, v: np.ndarray) -> None:
+        if space.insert(pair, v):
+            mats.append((pair, v))
             if space.dim > budget:
                 raise ClosureBudgetExceeded(
                     f"closure dimension exceeded {budget} on a {n}-vertex space"
                 )
-        return added
 
-    frontier: dict = {}
     for pair, v in seeds:
-        frontier.setdefault(pair, []).append(v)
-    frontier = push(frontier)
+        push(pair, v)
     seeded = space.blocks()
-    while any(frontier.values()):
-        candidates: dict = {}
-        for (k, l), xs in frontier.items():
-            if not xs or lefts[k, l] is None:
-                continue
-            ops, bounds = lefts[k, l]
-            shape = xs[0].shape[1:]  # () for coordinate vectors
-            width = int(np.prod(shape, dtype=np.int64))
-            cols = np.concatenate([x.reshape(len(x), width) for x in xs], axis=1)
-            products = matmul_mod(ops, cols, p)
-            for i, start, stop in bounds:
-                out = candidates.setdefault((i, l), [])
-                for t in range(len(xs)):
-                    block = products[start:stop, t * width:(t + 1) * width]
-                    out.append(block.reshape((stop - start,) + shape))
-        frontier = push(candidates)
+    for (k, l), x in mats:        # mats grows while it is walked
+        if lefts[k, l] is None:
+            continue
+        ops, bounds = lefts[k, l]
+        products = matmul_mod(ops, x, p)
+        for i, start, stop in bounds:
+            push((i, l), products[start:stop])
     return mats, seeded
 
 

@@ -46,7 +46,6 @@ from .linalg import (
     closure_product_selftest,
     field_array,
     matmul_mod,
-    stack_lefts,
 )
 from .permgroup import (
     GroupBSGS,
@@ -171,33 +170,43 @@ def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
 
 
 def _orbital_operators(orb: PairOrbitals) -> dict:
-    """T's generators acting on orbital coordinates: for each (k, l), the
-    (i, L) with L the matrix of x ↦ E*ᵢA_jE*ₖ·x from block (k, l) to block
-    (i, l), j = 1, 2.  The product commutes with G_ω, so its coordinate c is
-    its value at the least pair (x_c, y_c): entry (c, b) of L counts the
-    z ∈ Δₖ in relation j to x_c with (z, y_c) in orbital b."""
-    ops = {pair: [] for pair in _PAIRS}
-    for i, k, l in product(range(3), repeat=3):
-        xs, ys = orb.reps[i, l].T
-        rows, cols = len(xs), len(orb.reps[k, l])
-        rel = orb.relation[xs, orb.cells[k]].astype(np.intp)
-        code = ((rel - 1) * rows + np.arange(rows)[:, None]) * cols + orb.labels[orb.cells[k], ys].T
-        counts = np.bincount(code[rel > 0], minlength=2 * rows * cols).reshape(2, rows, cols)
-        ops[k, l] += [(i, op) for op in counts if op.any()]
-    return ops
+    """block_closure's left operators on orbital coordinates, as integers:
+    for each (k, l), the stacked matrices L of x ↦ E*ᵢA_jE*ₖ·x from block
+    (k, l) to block (i, l), j = 1, 2, i = 0, 1, 2.  The product commutes
+    with G_ω, so its coordinate c is its value at the least pair
+    (x_c, y_c): entry (c, b) of L counts the z ∈ Δₖ in relation j to x_c
+    with (z, y_c) in orbital b.  One bincount per (k, l) counts them for
+    every i and j."""
+    lefts = {}
+    for k, l in _PAIRS:
+        reps = np.concatenate([orb.reps[i, l] for i in range(3)])
+        rows, cols = len(reps), len(orb.reps[k, l])
+        rel = orb.relation[reps[:, 0], orb.cells[k]].astype(np.intp)
+        code = ((rel - 1) * rows + np.arange(rows)[:, None]) * cols
+        code += orb.labels[orb.cells[k], reps[:, 1]].T
+        ops = np.bincount(code[rel > 0], minlength=2 * rows * cols).reshape(2 * rows, cols)
+        ends = np.cumsum([0] + [len(orb.reps[i, l]) for i in range(3)])
+        bounds = [
+            (i, j * rows + a, j * rows + b)
+            for j in range(2)
+            for i, (a, b) in enumerate(zip(ends, ends[1:]))
+            if ops[j * rows + a : j * rows + b].any()
+        ]
+        lefts[k, l] = (ops, bounds) if bounds else None
+    return lefts
 
 
 def _orbital_closure(orb: PairOrbitals, ops: dict, p: int | None, selftest: bool):
     """T₀'s and T's block dimensions over one field, in orbital coordinates;
-    `ops` is _orbital_operators(orb)."""
+    `ops` is _orbital_operators(orb), shared by the fields."""
     space = BlockBasis(p, [c.stop - c.start for c in orb.cells], widths=orb.blocks)
     seeds = []
     for pair in _PAIRS:  # the nonzero sandwiches, one per relation present
         kinds = orb.kinds(pair)
         seeds += [(pair, field_array(kinds == j, p)) for j in np.unique(kinds)]
     lefts = {
-        pair: stack_lefts([(i, field_array(op, p)) for i, op in pair_ops])
-        for pair, pair_ops in ops.items()
+        pair: None if left is None else (field_array(left[0], p), left[1])
+        for pair, left in ops.items()
     }
     mats, seeded = block_closure(space, seeds, lefts, p)
     if selftest:

@@ -76,19 +76,6 @@ def test_basis_is_canonical_under_insertion_order():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("p", [7, 2147483659, None])
-def test_insert_many_reports_the_rows_that_grew_the_span(p):
-    one_by_one = SubspaceBasis(p, 4)
-    rows = [[0, 0, 0, 0], [1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1], [0, 0, 0, 3]]
-    grew = [i for i, r in enumerate(rows) if one_by_one.insert(r)]
-    batch = SubspaceBasis(p, 4)
-    assert batch.insert(rows[3])
-    assert batch.insert_many(rows) == [1, 5]
-    assert grew == [1, 3, 5]
-    assert batch.pivots == one_by_one.pivots
-    assert all(np.array_equal(a, b) for a, b in zip(batch.rows, one_by_one.rows))
-
-
 def test_rational_basis_uses_fractions():
     basis = SubspaceBasis(None, 2)
     basis.insert([Fraction(1, 2), Fraction(1, 3)])
