@@ -209,7 +209,7 @@ def block_closure(space: BlockBasis, seeds, lefts, p: int | None, cap: int | Non
 
     def push(pair, v: np.ndarray) -> None:
         if space.insert(pair, v):
-            mats.append((pair, v))
+            mats.append((pair, v.copy()))  # a slice would keep its whole product alive
             if space.dim > budget:
                 raise ClosureBudgetExceeded(
                     f"closure dimension exceeded {budget} on a {n}-vertex space"

@@ -114,9 +114,10 @@ class PairOrbitals:
     the orbital of (x, y) and `reps[i, l]` holds the least pairs in that
     order.  A matrix that commutes with G_ω is constant on orbitals, so its
     block (i, l) is the vector of its values at `reps[i, l]`: its
-    coordinates.
+    coordinates.  `omega` is the base vertex the labelling was made at.
     """
 
+    omega: int
     cells: tuple[slice, ...]
     relation: np.ndarray
     labels: np.ndarray
@@ -166,7 +167,7 @@ def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
     index = np.empty(n * n, dtype=np.intp)
     index[roots] = local
     slices = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
-    return PairOrbitals(slices, relation, index[least].reshape(n, n), reps)
+    return PairOrbitals(omega, slices, relation, index[least].reshape(n, n), reps)
 
 
 def _orbital_operators(orb: PairOrbitals) -> dict:
@@ -242,7 +243,16 @@ def _t_path(orb: PairOrbitals | None) -> str:
     T₀ ⊆ T ⊆ T̃ pins T = T₀ ("sandwich").  Otherwise in orbital coordinates
     when the operators, Σᵢₖₗ kᵢₗ·kₖₗ entries, are at most n³, the dense
     closure's multiply-adds for one product per cell triple ("orbital");
-    else, as for trivial groups (k = n²), densely."""
+    else, as for trivial groups (k = n²), densely.
+
+    The bound n³ is an operation count, set against timings of both closures
+    on Paley(q) with G_ω cut down to its subgroups of each order
+    (scripts/t_path_crossover.py, 2-core host, BLAS on one thread).  Over the
+    two default primes the orbital one was faster at ratios Σ/n³ up to 1.18
+    and slower from 1.98 up at q = 61 and 101, so the bound sits at the
+    crossover there; at q ≤ 29 both take 7–30 ms and below the bound the
+    orbital one is up to 2.3 ms slower.  Over ℚ it was faster up to a ratio
+    of 3.4, so the bound is cautious there."""
     if orb is None:
         return "dense"
     blocks = orb.blocks
@@ -257,7 +267,6 @@ def t0_t_report(
     omega: int = 0,
     primes=DEFAULT_PRIMES,
     rational: bool = False,
-    orbitals: PairOrbitals | None = None,
 ) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
     """(dim, 3×3 block dimensions) of T₀ and of T, from one closure per field.
 
@@ -265,20 +274,21 @@ def t0_t_report(
     ⊕ E*ᵢTE*ₗ, so the closure runs block by block: its seeds are the nonzero
     sandwiches (those with j = 0 are the E*ᵢ), and it multiplies on the left
     by those with j ∈ {1, 2}.  The span of the seeds is T₀, the fixed point
-    is T.  Given `orbitals`, the pair labelling at ω, T lies in T̃ and may be
-    pinned by T₀ or closed in orbital coordinates instead (_t_path).  Over ℚ
+    is T.  This is the group-less entry point; analyze_vertex, which holds
+    G_ω, may pin T by T₀ or close it in orbital coordinates (_t_path).  Over ℚ
     alone when `rational`, else over GF(p) for each of `primes`, which must
     agree (PrimeDisagreement); the closure self-test runs over the first
     field.  T₀ is cross-validated against the closed-form intersection
     numbers: its block (i, k) must have as many dimensions as there are
     nonzero pᵢⱼᵏ over j (OracleMismatch).
     """
-    t0, t, _ = _t0_t(g, omega, primes, rational, orbitals)
+    t0, t, _ = _t0_t(g, omega, primes, rational, None)
     return t0, t
 
 
 def _t0_t(g, omega, primes, rational, orbitals):
-    """t0_t_report's two results, and the path T took (_t_path)."""
+    """t0_t_report's two results, and the path T took (_t_path); `orbitals`
+    is the pair labelling at ω, or None for the dense closure."""
     params = require_srg(g)
     check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")
     fields = (None,) if rational else tuple(primes)
@@ -316,13 +326,16 @@ def t_tilde_report(
     ways: the orbitals per cell pair of the pair labelling (`orbitals`, by
     default labelled here), and a sum over G_ω-orbit representatives x of
     the orbit count of the two-point stabilizer G_ω ∩ G_x.  Disagreement
-    raises InternalDisagreement.  `group` is rebased at ω once, only if its
-    base does not already start there.
+    raises InternalDisagreement; a labelling made at another vertex raises
+    ValueError.  `group` is rebased at ω once, only if its base does not
+    already start there.
     """
     require_srg(g)
     group = based_at(group, omega)
     if orbitals is None:
         orbitals = pair_orbitals(g, group, omega)
+    if orbitals.omega != omega:
+        raise ValueError(f"pair labelling made at vertex {orbitals.omega}, not at {omega}")
     blocks = orbitals.blocks
     total = int(blocks.sum())
 
@@ -453,6 +466,7 @@ def analyze_vertex(
     """Assemble the three reports and verdicts for one base vertex; `group`
     is the automorphism group's stabilizer chain, on any base."""
     params = require_srg(g)
+    check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")  # before the n² labelling
     group = based_at(group, omega)
     orbitals = pair_orbitals(g, group, omega)
     (dim0, blocks0), (dim1, blocks1), path = _t0_t(g, omega, primes, rational, orbitals)

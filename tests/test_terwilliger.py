@@ -16,7 +16,7 @@ from srgta.autgrp import automorphism_group
 from srgta.classifier import intersection_numbers
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import ImprimitiveParams, require_srg, vertex_partition
-from srgta.exactmath import DEFAULT_PRIMES
+from srgta.exactmath import DEFAULT_PRIMES, SizeGuardExceeded
 from srgta.permgroup import based_at, point_stabilizer, schreier_sims
 from srgta import terwilliger
 from srgta.terwilliger import (
@@ -258,9 +258,10 @@ def _differential(g, fields):
     ops = terwilliger._orbital_operators(orb)
     for kwargs in fields:
         dense = t0_t_report(g, **kwargs)
-        assert [d for d, _ in t0_t_report(g, orbitals=orb, **kwargs)] == [d for d, _ in dense]
-        primes = (None,) if kwargs.get("rational") else kwargs.get("primes", DEFAULT_PRIMES)
-        for p in primes:
+        primes, rational = kwargs.get("primes", DEFAULT_PRIMES), kwargs.get("rational", False)
+        t0, t, _ = terwilliger._t0_t(g, 0, primes, rational, orb)
+        assert [(d, b.tolist()) for d, b in (t0, t)] == [(d, b.tolist()) for d, b in dense]
+        for p in (None,) if rational else primes:
             seeded, closed = terwilliger._orbital_closure(orb, ops, p, True)
             assert np.array_equal(seeded, dense[0][1]) and np.array_equal(closed, dense[1][1])
     return terwilliger._t_path(orb)
@@ -300,6 +301,24 @@ def test_report_stats_name_the_t_path(petersen, clebsch, paley13):
         assert "stats" not in json.loads(report.to_json())
     trivial = analyze_vertex(petersen, schreier_sims([], n=10), 0)
     assert trivial.stats == {"t_path": "dense", "orbitals": 100}
+
+
+def test_a_labelling_at_another_vertex_is_rejected(petersen):
+    group = automorphism_group(petersen).group
+    orb = pair_orbitals(petersen, group, 3)
+    assert orb.omega == 3
+    with pytest.raises(ValueError, match="made at vertex 3"):
+        t_tilde_report(petersen, group, 0, orb)
+
+
+def test_analyze_vertex_checks_the_size_guard_before_labelling(petersen, monkeypatch):
+    def labelling(*args):
+        raise AssertionError("the pair labelling ran past the size guard")
+
+    monkeypatch.setattr(terwilliger, "pair_orbitals", labelling)
+    monkeypatch.setenv("SRGTA_SIZE_GUARD", "9")
+    with pytest.raises(SizeGuardExceeded):
+        analyze_vertex(petersen, automorphism_group(petersen).group, 0)
 
 
 def test_pair_orbitals_reject_a_group_that_moves_the_cells(petersen):
