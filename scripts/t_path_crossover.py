@@ -70,7 +70,7 @@ def main() -> None:
 
             def dense():
                 for idx, p in enumerate(fields):
-                    terwilliger._dense_closure(g, 0, p, idx == 0)
+                    terwilliger._dense_closure(orb, p, idx == 0)
 
             t_orb, t_dense = best_time(orbital, args.repeats), best_time(dense, args.repeats)
             print(

@@ -8,14 +8,14 @@ nest:
   T, the algebra generated by A₀, A₁, A₂ and the idempotents;
   T̃, the centralizer of the vertex stabilizer Aut(Γ)_ω.
 
-Dimensions and 3×3 block decompositions of all three are computed exactly:
-T₀ and T as the first step and the fixed point of one block-by-block
-closure per field (t0_t_report), T̃ by counting stabilizer orbitals on
-pairs (PairOrbitals).  Since T ⊆ T̃, the closure can run on those orbitals'
-coordinates instead of matrix entries (Bannai & Munemasa, Kyushu J. Math.
-49, 1995), or be skipped when T₀ already fills T̃.  A floating-point
-cross-check of dim T from subconstituent spectra is provided as an
-advisory, never a verdict source.
+Dimensions and 3×3 block decompositions of all three are computed exactly,
+from one context at ω built once (PairOrbitals): T₀ and T as the first step
+and the fixed point of one block-by-block closure per field (t0_t_report),
+T̃ by counting stabilizer orbitals on pairs.  Since T ⊆ T̃, the closure can
+run on those orbitals' coordinates instead of matrix entries (Bannai &
+Munemasa, Kyushu J. Math. 49, 1995), or be skipped when T₀ already fills
+T̃.  A floating-point cross-check of dim T from subconstituent spectra is
+provided as an advisory, never a verdict source.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .permgroup import (
     orbit_count,
     orbits,
     pair_orbit_labels,
+    schreier_sims,
     transitivity_rank,
     two_point_stabilizer,
 )
@@ -85,43 +86,39 @@ class _Inconclusive:
 Inconclusive = _Inconclusive()
 
 
-def _sandwiches(g: Graph, omega: int) -> tuple[list, list[int]]:
-    """The sandwiches E*ᵢA_jE*ₖ with j ∈ {1, 2} as ((i, k), block) pairs, and
-    the cell sizes; the blocks of A₂ = J − I − A₁ are cut alongside A₁'s."""
-    cells = [list(cell) for cell in vertex_partition(g, omega).cells]
-    adj = g.adjacency_dense().astype(np.int64)
-    gens = []
-    for (i, rows), (k, cols) in product(enumerate(cells), repeat=2):
-        a1 = adj[np.ix_(rows, cols)]
-        a2 = 1 - a1 - (np.eye(len(rows), dtype=np.int64) if i == k else 0)
-        gens += [((i, k), a1), ((i, k), a2)]
-    return gens, [len(cell) for cell in cells]
-
-
 _PAIRS = tuple(product(range(3), repeat=2))
 
 
 @dataclass(frozen=True)
 class PairOrbitals:
-    """The orbitals of G_ω on Ω×Ω, labelled once for T₀, T and T̃.
+    """The context at one base vertex ω that T₀, T and T̃ are read from.
 
-    Vertices are put in cell order (Δ₀, Δ₁, Δ₂, each sorted), so that cell i
-    is the slice `cells[i]` of positions and every matrix here is indexed by
-    positions.  G_ω keeps each cell and each relation (0 equal, 1 adjacent,
-    2 other), so an orbital lies in one cell pair Δᵢ×Δₗ and one relation.
+    `params` are the graph's SRG parameters, `chain` is the group's chain
+    rebased at ω and `orbits` are G_ω's orbits on Ω.  Vertices are put in
+    cell order (Δ₀, Δ₁, Δ₂, each sorted), so that cell i is the slice
+    `cells[i]` of positions, and `relation` is indexed by positions: 0
+    equal, 1 adjacent, 2 other.  G_ω keeps each cell and each relation, so
+    an orbital of G_ω on pairs lies in one cell pair Δᵢ×Δₗ and one relation.
     The orbitals of a cell pair are numbered from 0 in the order of their
     least pairs (x, y), ordered by x·n + y: `labels[x, y]` is the number of
     the orbital of (x, y) and `reps[i, l]` holds the least pairs in that
     order.  A matrix that commutes with G_ω is constant on orbitals, so its
     block (i, l) is the vector of its values at `reps[i, l]`: its
-    coordinates.  `omega` is the base vertex the labelling was made at.
+    coordinates.
     """
 
     omega: int
+    params: SrgParams
+    chain: GroupBSGS
+    orbits: list
     cells: tuple[slice, ...]
     relation: np.ndarray
     labels: np.ndarray
     reps: dict
+
+    @property
+    def sizes(self) -> list[int]:
+        return [c.stop - c.start for c in self.cells]
 
     @property
     def blocks(self) -> np.ndarray:
@@ -139,10 +136,14 @@ class PairOrbitals:
 
 
 def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
-    """The orbitals of G_ω on Ω×Ω, G_ω read off `group`'s chain rebased at ω.
-    Raises CellNotInvariant if an orbital meets two cell pairs or two
-    relations, which no group of automorphisms does."""
+    """The context at ω, G_ω read off `group`'s chain rebased there.  Raises
+    NotSrgError for a graph that is not strongly regular, SizeGuardExceeded
+    past the closure guard before any n²-entry array is made, and
+    CellNotInvariant if an orbital meets two cell pairs or two relations,
+    which no group of automorphisms does."""
+    params = require_srg(g)
     n = g.n
+    check_guard(n, _CLOSURE_GUARD, "algebra closure order")
     cells = vertex_partition(g, omega).cells
     order = np.concatenate([np.array(c, dtype=np.intp) for c in cells])
     where = np.empty(n, dtype=np.intp)
@@ -150,8 +151,10 @@ def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
     ends = np.cumsum([0] + [len(c) for c in cells])
     cell = np.repeat(np.arange(3, dtype=np.int8), np.diff(ends))
     relation = 2 - g.adjacency_dense()[np.ix_(order, order)] - 2 * np.eye(n, dtype=np.int8)
+    chain = based_at(group, omega)
+    stab_gens = chain.stabilizer_gens(1)
     # G_ω on positions: the generator g sends position x to where[g[order[x]]]
-    stab = [where[np.asarray(s)[order]] for s in based_at(group, omega).stabilizer_gens(1)]
+    stab = [where[np.asarray(s)[order]] for s in stab_gens]
     least = pair_orbit_labels(stab, n).reshape(-1)
     key = ((3 * cell[:, None] + cell[None, :]) * 3 + relation).reshape(-1)
     if np.any(key[least] != key):
@@ -167,7 +170,8 @@ def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
     index = np.empty(n * n, dtype=np.intp)
     index[roots] = local
     slices = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
-    return PairOrbitals(omega, slices, relation, index[least].reshape(n, n), reps)
+    labels = index[least].reshape(n, n)
+    return PairOrbitals(omega, params, chain, orbits(stab_gens, n), slices, relation, labels, reps)
 
 
 def _orbital_operators(orb: PairOrbitals) -> dict:
@@ -200,7 +204,7 @@ def _orbital_operators(orb: PairOrbitals) -> dict:
 def _orbital_closure(orb: PairOrbitals, ops: dict, p: int | None, selftest: bool):
     """T₀'s and T's block dimensions over one field, in orbital coordinates;
     `ops` is _orbital_operators(orb), shared by the fields."""
-    space = BlockBasis(p, [c.stop - c.start for c in orb.cells], widths=orb.blocks)
+    space = BlockBasis(p, orb.sizes, widths=orb.blocks)
     seeds = []
     for pair in _PAIRS:  # the nonzero sandwiches, one per relation present
         kinds = orb.kinds(pair)
@@ -228,22 +232,23 @@ def _orbital_closure(orb: PairOrbitals, ops: dict, p: int | None, selftest: bool
     return seeded, space.blocks()
 
 
-def _dense_closure(g: Graph, omega: int, p: int | None, selftest: bool):
-    """T₀'s and T's block dimensions over one field, block by block."""
-    gens, sizes = _sandwiches(g, omega)
-    space, mats, seeded = algebra_closure(gens, sizes, p)
+def _dense_closure(orb: PairOrbitals, p: int | None, selftest: bool):
+    """T₀'s and T's block dimensions over one field, block by block on matrix
+    entries; the generators are the blocks of A₁ and A₂ on each cell pair."""
+    rel = orb.relation
+    gens = [((i, l), rel[orb.cells[i], orb.cells[l]] == j) for i, l in _PAIRS for j in (1, 2)]
+    space, mats, seeded = algebra_closure(gens, orb.sizes, p)
     if selftest:
         closure_product_selftest(space, mats, p)
     return seeded, space.blocks()
 
 
-def _t_path(orb: PairOrbitals | None) -> str:
-    """How T is computed.  Without orbitals, by the dense closure.  When
-    every orbital is a sandwich, dim T₀ is the number k of orbitals and
-    T₀ ⊆ T ⊆ T̃ pins T = T₀ ("sandwich").  Otherwise in orbital coordinates
-    when the operators, Σᵢₖₗ kᵢₗ·kₖₗ entries, are at most n³, the dense
-    closure's multiply-adds for one product per cell triple ("orbital");
-    else, as for trivial groups (k = n²), densely.
+def _t_path(orb: PairOrbitals) -> str:
+    """How T is computed.  When every orbital is a sandwich, dim T₀ is the
+    number k of orbitals and T₀ ⊆ T ⊆ T̃ pins T = T₀ ("sandwich").  Otherwise
+    in orbital coordinates when the operators, Σᵢₖₗ kᵢₗ·kₖₗ entries, are at
+    most n³, the dense closure's multiply-adds for one product per cell
+    triple ("orbital"); else, as for trivial groups (k = n²), densely.
 
     The bound n³ is an operation count, set against timings of both closures
     on Paley(q) with G_ω cut down to its subgroups of each order
@@ -253,8 +258,6 @@ def _t_path(orb: PairOrbitals | None) -> str:
     crossover there; at q ≤ 29 both take 7–30 ms and below the bound the
     orbital one is up to 2.3 ms slower.  Over ℚ it was faster up to a ratio
     of 3.4, so the bound is cautious there."""
-    if orb is None:
-        return "dense"
     blocks = orb.blocks
     if sum(len(np.unique(orb.kinds(pair))) for pair in _PAIRS) == blocks.sum():
         return "sandwich"
@@ -274,32 +277,31 @@ def t0_t_report(
     ⊕ E*ᵢTE*ₗ, so the closure runs block by block: its seeds are the nonzero
     sandwiches (those with j = 0 are the E*ᵢ), and it multiplies on the left
     by those with j ∈ {1, 2}.  The span of the seeds is T₀, the fixed point
-    is T.  This is the group-less entry point; analyze_vertex, which holds
-    G_ω, may pin T by T₀ or close it in orbital coordinates (_t_path).  Over ℚ
+    is T.  This is the group-less entry point: its context is that of the
+    trivial group, so T is closed densely; analyze_vertex, which holds G_ω,
+    may pin T by T₀ or close it in orbital coordinates (_t_path).  Over ℚ
     alone when `rational`, else over GF(p) for each of `primes`, which must
     agree (PrimeDisagreement); the closure self-test runs over the first
     field.  T₀ is cross-validated against the closed-form intersection
     numbers: its block (i, k) must have as many dimensions as there are
     nonzero pᵢⱼᵏ over j (OracleMismatch).
     """
-    t0, t, _ = _t0_t(g, omega, primes, rational, None)
+    t0, t, _ = _t0_t(pair_orbitals(g, schreier_sims([], n=g.n), omega), primes, rational)
     return t0, t
 
 
-def _t0_t(g, omega, primes, rational, orbitals):
-    """t0_t_report's two results, and the path T took (_t_path); `orbitals`
-    is the pair labelling at ω, or None for the dense closure."""
-    params = require_srg(g)
-    check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")
+def _t0_t(orb: PairOrbitals, primes, rational):
+    """t0_t_report's two results at the context's vertex, and the path T
+    took (_t_path)."""
     fields = (None,) if rational else tuple(primes)
-    path = _t_path(orbitals)
+    path = _t_path(orb)
     if path == "sandwich":  # T₀ = T = T̃ over every field
-        results = [(orbitals.blocks, orbitals.blocks)]
+        results = [(orb.blocks, orb.blocks)]
     elif path == "orbital":
-        ops = _orbital_operators(orbitals)
-        results = [_orbital_closure(orbitals, ops, p, idx == 0) for idx, p in enumerate(fields)]
+        ops = _orbital_operators(orb)
+        results = [_orbital_closure(orb, ops, p, idx == 0) for idx, p in enumerate(fields)]
     else:
-        results = [_dense_closure(g, omega, p, idx == 0) for idx, p in enumerate(fields)]
+        results = [_dense_closure(orb, p, idx == 0) for idx, p in enumerate(fields)]
     for label, per_field in zip(("T0", "T"), zip(*results)):
         dims = {int(blocks.sum()) for blocks in per_field}
         if len(dims) != 1:
@@ -308,7 +310,7 @@ def _t0_t(g, omega, primes, rational, orbitals):
             raise PrimeDisagreement(f"{label} block dimensions differ across primes")
 
     blocks0, blocks1 = results[0]
-    expected = np.count_nonzero(intersection_numbers(params), axis=1)
+    expected = np.count_nonzero(intersection_numbers(orb.params), axis=1)
     if not np.array_equal(blocks0, expected):
         raise OracleMismatch(
             f"span dim {blocks0.sum()}, blocks {blocks0.tolist()} != nonzero "
@@ -317,33 +319,22 @@ def _t0_t(g, omega, primes, rational, orbitals):
     return (int(blocks0.sum()), blocks0), (int(blocks1.sum()), blocks1), path
 
 
-def t_tilde_report(
-    g: Graph, group: GroupBSGS, omega: int = 0, orbitals: PairOrbitals | None = None
-) -> tuple[int, np.ndarray]:
-    """dim and block dimensions of the stabilizer centralizer algebra.
+def t_tilde_report(orb: PairOrbitals) -> tuple[int, np.ndarray]:
+    """dim and block dimensions of the stabilizer centralizer algebra at the
+    context's vertex ω.
 
     The dimension is the orbital count of G_ω, computed two independent
-    ways: the orbitals per cell pair of the pair labelling (`orbitals`, by
-    default labelled here), and a sum over G_ω-orbit representatives x of
-    the orbit count of the two-point stabilizer G_ω ∩ G_x.  Disagreement
-    raises InternalDisagreement; a labelling made at another vertex raises
-    ValueError.  `group` is rebased at ω once, only if its base does not
-    already start there.
+    ways: the orbitals per cell pair of the pair labelling, and a sum over
+    G_ω-orbit representatives x of the orbit count of the two-point
+    stabilizer G_ω ∩ G_x.  Disagreement raises InternalDisagreement.
     """
-    require_srg(g)
-    group = based_at(group, omega)
-    if orbitals is None:
-        orbitals = pair_orbitals(g, group, omega)
-    if orbitals.omega != omega:
-        raise ValueError(f"pair labelling made at vertex {orbitals.omega}, not at {omega}")
-    blocks = orbitals.blocks
+    blocks = orb.blocks
     total = int(blocks.sum())
-
-    stab_orbits = orbits(group.stabilizer_gens(1), g.n)
-    stab_sum = len(stab_orbits)  # x = ω, where G_ω ∩ G_x is G_ω itself
-    for orb in stab_orbits:
-        if orb[0] != omega:
-            stab_sum += orbit_count(two_point_stabilizer(group, omega, orb[0]), g.n)
+    n = len(orb.relation)
+    stab_sum = len(orb.orbits)  # x = ω, where G_ω ∩ G_x is G_ω itself
+    for cycle in orb.orbits:
+        if cycle[0] != orb.omega:
+            stab_sum += orbit_count(two_point_stabilizer(orb.chain, orb.omega, cycle[0]), n)
     if stab_sum != total:
         raise InternalDisagreement(
             f"orbital blocks give {total}, stabilizer-sum gives {stab_sum}"
@@ -465,13 +456,10 @@ def analyze_vertex(
 ) -> AlgebraReport:
     """Assemble the three reports and verdicts for one base vertex; `group`
     is the automorphism group's stabilizer chain, on any base."""
-    params = require_srg(g)
-    check_guard(g.n, _CLOSURE_GUARD, "algebra closure order")  # before the n² labelling
-    group = based_at(group, omega)
     orbitals = pair_orbitals(g, group, omega)
-    (dim0, blocks0), (dim1, blocks1), path = _t0_t(g, omega, primes, rational, orbitals)
-    dim2, blocks2 = t_tilde_report(g, group, omega, orbitals)
-    transitive, rank = transitivity_rank(group, g.n)
+    (dim0, blocks0), (dim1, blocks1), path = _t0_t(orbitals, primes, rational)
+    dim2, blocks2 = t_tilde_report(orbitals)
+    transitive, rank = transitivity_rank(orbitals.chain, g.n)
     rank3 = bool(transitive and rank == 3)
     equality = dim0 == dim1 == dim2
     flags: list[str] = []
@@ -486,7 +474,7 @@ def analyze_vertex(
         if aut_complete:
             flags.append("case_b_candidate")
     report = AlgebraReport(
-        params=params,
+        params=orbitals.params,
         omega=omega,
         dims={"t0": dim0, "t": dim1, "t_tilde": dim2},
         blocks={
@@ -499,7 +487,7 @@ def analyze_vertex(
             "rank3": rank3,
             "triply_transitive": verdict,
         },
-        aut_order=group.order,
+        aut_order=orbitals.chain.order,
         flags=flags,
         stats={"t_path": path, "orbitals": dim2},
     )

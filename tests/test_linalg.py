@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from srgta.linalg import (
     closure_product_selftest,
     matmul_mod,
 )
-from srgta.terwilliger import _sandwiches
+from srgta.permgroup import schreier_sims
+from srgta.terwilliger import pair_orbitals
 
 # one prime per arithmetic path: float64 BLAS, int64, object fallback
 PRIMES = [2, 97, 1048573, 134217757, 2147483659]
@@ -305,7 +307,13 @@ def test_closure_matches_naive_two_sided_closure(p, data):
 
 
 def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):
-    gens, sizes = _sandwiches(paley13, 0)
+    # the dense closure's generators: the blocks of A₁ and A₂ on each cell pair
+    orb = pair_orbitals(paley13, schreier_sims([], n=13), 0)
+    gens = [
+        ((i, l), orb.relation[orb.cells[i], orb.cells[l]] == j)
+        for i, l in product(range(3), repeat=2)
+        for j in (1, 2)
+    ]
     calls = []
     real_mul = linalg.matmul_mod
 
@@ -314,6 +322,6 @@ def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):
         return real_mul(x, y, p)
 
     monkeypatch.setattr(linalg, "matmul_mod", counting_mul)
-    space, _, _ = algebra_closure(gens, sizes, 1048573)
+    space, _, _ = algebra_closure(gens, orb.sizes, 1048573)
     assert space.dim == 21
     assert len(calls) <= 6 * space.dim

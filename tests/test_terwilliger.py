@@ -109,18 +109,18 @@ def test_closure_blocks_on_larger_graphs(tag, params, dim, blocks):
 
 def test_centralizer_dimensions(petersen, paley13):
     group = schreier_sims(automorphism_group(petersen).gens, n=10)
-    dim, blocks = t_tilde_report(petersen, group)
+    dim, blocks = t_tilde_report(pair_orbitals(petersen, group))
     assert dim == 15
     assert blocks.tolist() == [[1, 1, 1], [1, 2, 2], [1, 2, 4]]
 
     group = schreier_sims(automorphism_group(paley13).gens, n=13)
-    dim, blocks = t_tilde_report(paley13, group)
+    dim, blocks = t_tilde_report(pair_orbitals(paley13, group))
     assert dim == 29
     assert blocks.tolist() == [[1, 1, 1], [1, 6, 6], [1, 6, 6]]
 
 
 def test_centralizer_with_trivial_group_is_full_matrix_space(petersen):
-    dim, blocks = t_tilde_report(petersen, schreier_sims([], n=10))
+    dim, blocks = t_tilde_report(pair_orbitals(petersen, schreier_sims([], n=10)))
     assert dim == 100
     assert blocks.tolist() == [[1, 3, 6], [3, 9, 18], [6, 18, 36]]
 
@@ -254,12 +254,12 @@ def _differential(g, fields):
     group = based_at(automorphism_group(g).group, 0)
     orb = pair_orbitals(g, group, 0)
     assert np.array_equal(orb.blocks, _orbital_blocks_by_brute_force(g, group))
-    assert np.array_equal(t_tilde_report(g, group, 0)[1], orb.blocks)
+    assert np.array_equal(t_tilde_report(orb)[1], orb.blocks)
     ops = terwilliger._orbital_operators(orb)
     for kwargs in fields:
         dense = t0_t_report(g, **kwargs)
         primes, rational = kwargs.get("primes", DEFAULT_PRIMES), kwargs.get("rational", False)
-        t0, t, _ = terwilliger._t0_t(g, 0, primes, rational, orb)
+        t0, t, _ = terwilliger._t0_t(orb, primes, rational)
         assert [(d, b.tolist()) for d, b in (t0, t)] == [(d, b.tolist()) for d, b in dense]
         for p in (None,) if rational else primes:
             seeded, closed = terwilliger._orbital_closure(orb, ops, p, True)
@@ -303,22 +303,35 @@ def test_report_stats_name_the_t_path(petersen, clebsch, paley13):
     assert trivial.stats == {"t_path": "dense", "orbitals": 100}
 
 
-def test_a_labelling_at_another_vertex_is_rejected(petersen):
-    group = automorphism_group(petersen).group
-    orb = pair_orbitals(petersen, group, 3)
-    assert orb.omega == 3
-    with pytest.raises(ValueError, match="made at vertex 3"):
-        t_tilde_report(petersen, group, 0, orb)
+def test_analyze_vertex_builds_the_context_once(petersen, monkeypatch):
+    # the trivial group takes the dense path, which cuts its generators out
+    # of the context's relations rather than out of a second partition
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("require_srg", "check_guard", "vertex_partition", "based_at"):
+        monkeypatch.setattr(terwilliger, name, counted(name, getattr(terwilliger, name)))
+    analyze_vertex(petersen, schreier_sims([], n=10), 0)
+    assert sorted(calls) == ["based_at", "check_guard", "require_srg", "vertex_partition"]
 
 
 def test_analyze_vertex_checks_the_size_guard_before_labelling(petersen, monkeypatch):
+    # the group is searched first: the search has a size guard of its own
+    group = automorphism_group(petersen).group
+
     def labelling(*args):
         raise AssertionError("the pair labelling ran past the size guard")
 
-    monkeypatch.setattr(terwilliger, "pair_orbitals", labelling)
+    monkeypatch.setattr(terwilliger, "pair_orbit_labels", labelling)
     monkeypatch.setenv("SRGTA_SIZE_GUARD", "9")
     with pytest.raises(SizeGuardExceeded):
-        analyze_vertex(petersen, automorphism_group(petersen).group, 0)
+        analyze_vertex(petersen, group, 0)
 
 
 def test_pair_orbitals_reject_a_group_that_moves_the_cells(petersen):
