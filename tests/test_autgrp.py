@@ -14,7 +14,11 @@ from srgta.autgrp import (
     find_isomorphism,
     import_generators,
     _AUT_SIZE_GUARD,
+    SearchStats,
+    _child,
     _refine_ids,
+    _root,
+    _trace,
 )
 from srgta.classifier import intersection_numbers, triple_transitivity_verdict
 from srgta.exactmath import SizeGuardExceeded
@@ -388,28 +392,6 @@ SMALL_GROUP_SQUARE = [[0, 2, 1, 3, 4], [3, 4, 0, 1, 2], [4, 1, 3, 2, 0],
                       [2, 3, 4, 0, 1], [1, 0, 2, 4, 3]]
 
 
-def test_find_isomorphism_searches_past_failed_leaves(monkeypatch):
-    # 1-WL plus individualization reaches leaves of h whose traces match g's
-    # first path but which are not isomorphisms, so the walk must go on past them
-    square = SMALL_GROUP_SQUARE
-    g = latin_square_graph(square, range(25))
-    leaves = []
-    carries = autgrp._carries
-
-    def counted(a, b, p):
-        leaves.append(p)
-        return carries(a, b, p)
-
-    monkeypatch.setattr(autgrp, "_carries", counted)
-    for seed in range(3):
-        h = latin_square_graph(square, np.random.default_rng(seed).permutation(25).tolist())
-        leaves.clear()
-        iso = find_isomorphism(g, h)
-        assert iso is not None and len(leaves) > 1
-        idx = np.asarray(iso)
-        assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
-
-
 def test_fields_agree_on_a_small_group_latin_square_graph():
     # T0 and T over the default primes, two 16-bit primes, a prime past the
     # int64 row reductions, and Q; T itself is not pinned, since nothing
@@ -469,3 +451,108 @@ def test_search_returns_a_chain_of_exactly_its_generators(which, request):
     assert res.order == res.group.order == schreier_sims(res.gens, n=g.n).order
     assert all(res.group.contains(p) for p in res.gens)
     assert res.group.base[0] == 0
+
+
+def test_find_isomorphism_searches_past_failed_leaves(monkeypatch):
+    # individualization plus refinement by A and by the root's triple counts
+    # reaches leaves of h whose traces match g's first path but which are not
+    # isomorphisms, so the walk must go on past them
+    g = latin_square_graph(RIGID_SQUARE, range(49))
+    leaves = []
+    carries = autgrp._carries
+
+    def counted(a, b, p):
+        leaves.append(p)
+        return carries(a, b, p)
+
+    monkeypatch.setattr(autgrp, "_carries", counted)
+    for seed in range(3):
+        h = latin_square_graph(RIGID_SQUARE, np.random.default_rng(seed).permutation(49).tolist())
+        leaves.clear()
+        iso = find_isomorphism(g, h)
+        assert iso is not None and len(leaves) > 1
+        idx = np.asarray(iso)
+        assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
+
+
+# -- triple counts at the root -------------------------------------------------
+
+def test_rigid_square_search_tries_at_most_one_leaf_per_vertex():
+    g = latin_square_graph(RIGID_SQUARE, range(49))
+    stats = automorphism_group(g).stats
+    assert stats.leaves <= g.n
+    assert stats.triple_refined > 0 and stats.triple_skipped == 0
+
+
+@pytest.mark.parametrize("which", ["grid5", "petersen", "o6minus2"])
+def test_rank_three_graphs_take_the_skip_rule(which, request):
+    # G_w is transitive on Γ(w) and on the non-neighbours, so no invariant
+    # refinement at w splits them, whatever the values of B_w
+    if which == "grid5":
+        g = construct(FamilySpec("grid", (5,)))
+    elif which == "o6minus2":
+        g = construct(FamilySpec("o6minus", (2,)))
+    else:
+        g = request.getfixturevalue(which)
+    stats = automorphism_group(g).stats
+    assert stats.triple_refined == 0 and stats.triple_skipped > 0
+    af = g.adjacency_dense().astype(np.float64)
+    root_ids, _ = _root(af)
+    for w in range(g.n):  # every vertex, not only the root children searched
+        signature, ids, quotient = _child(af, root_ids, w, 0, SearchStats())
+        assert signature == b""
+        assert _trace(ids, quotient) == _trace(*autgrp._individualize(af, root_ids, w))
+
+
+def triple_counts(a, w):
+    """B_w = A·diag(A[w])·A, by its definition."""
+    a = a.astype(np.int64)
+    return a @ np.diag(a[w]) @ a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_root_child_is_invariant_under_relabelling(n, data):
+    g = random_graph(data, n)
+    sigma = data.draw(st.permutations(range(n)))  # vertex x of g is sigma[x] of h
+    h = Graph.from_edges(n, [(sigma[u], sigma[v]) for u, v in g.edges()])
+    w = data.draw(st.integers(0, n - 1))
+    p = np.asarray(sigma)
+    ag, ah = g.adjacency_dense(), h.adjacency_dense()
+    bg = triple_counts(ag, w)
+    assert np.array_equal(triple_counts(ah, sigma[w])[np.ix_(p, p)], bg)
+    afg, afh = ag.astype(np.float64), ah.astype(np.float64)
+    sig_g, ids_g, quotient_g = _child(afg, _root(afg)[0], w, 0, SearchStats())
+    sig_h, ids_h, quotient_h = _child(afh, _root(afh)[0], sigma[w], 0, SearchStats())
+    assert sig_g == sig_h
+    assert sig_g in (b"", np.unique(bg).astype(np.intp).tobytes())
+    assert np.array_equal(ids_h[p], ids_g)
+    assert _trace(ids_g, quotient_g) == _trace(ids_h, quotient_h)
+
+
+# `python3 perfbench/latin.py --order 6 --seed 1`; its LS3(6) has a group of order 8
+ORDER_SIX_SQUARE = [
+    [0, 3, 1, 2, 5, 4],
+    [4, 1, 2, 5, 0, 3],
+    [5, 4, 3, 0, 2, 1],
+    [2, 5, 4, 3, 1, 0],
+    [1, 0, 5, 4, 3, 2],
+    [3, 2, 0, 1, 4, 5],
+]
+
+
+@pytest.mark.parametrize("square", [SMALL_GROUP_SQUARE, ORDER_SIX_SQUARE, RIGID_SQUARE],
+                         ids=["order5", "order6", "order7"])
+def test_latin_square_graph_search_is_independent_of_labels(square):
+    n = len(square) ** 2
+    g = latin_square_graph(square, range(n))
+    order = automorphism_group(g).order
+    for seed in range(3):
+        h = latin_square_graph(square, np.random.default_rng(seed).permutation(n).tolist())
+        res = automorphism_group(h)
+        assert res.complete and res.order == order
+        assert all(preserves_adjacency(h, p) for p in res.gens)
+        iso = find_isomorphism(g, h)
+        assert iso is not None and sorted(iso) == list(range(n))
+        idx = np.asarray(iso)
+        assert np.array_equal(h.adjacency_dense()[idx][:, idx], g.adjacency_dense())
