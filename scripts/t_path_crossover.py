@@ -26,10 +26,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
-import sympy  # noqa: E402
 
 from srgta import terwilliger  # noqa: E402
-from srgta.exactmath import DEFAULT_PRIMES  # noqa: E402
+from srgta.exactmath import DEFAULT_PRIMES, gf_construct  # noqa: E402
 from srgta.families import FamilySpec, construct  # noqa: E402
 from srgta.permgroup import schreier_sims  # noqa: E402
 
@@ -52,8 +51,9 @@ def main() -> None:
     fields = (None,) if args.rational else DEFAULT_PRIMES
     for q in map(int, args.primes.split(",")):
         g = construct(FamilySpec("paley", (q,)))
-        root = sympy.primitive_root(q)
-        for d in sympy.divisors((q - 1) // 2):
+        root = gf_construct(q).primitive_element()  # the least primitive root mod q
+        half = (q - 1) // 2
+        for d in [d for d in range(1, half + 1) if half % d == 0]:
             a = pow(root, (q - 1) // d, q)
             group = schreier_sims([tuple(a * x % q for x in range(q))], base_prefix=(0,), n=q)
             orb = terwilliger.pair_orbitals(g, group, 0)

@@ -54,41 +54,119 @@ def check_guard(value: int, default_limit: int, what: str) -> None:
         raise SizeGuardExceeded(f"{what}: {value} exceeds size guard {limit}")
 
 
-# sympy is imported inside the functions that call it: importing it takes
-# most of `import srgta`, and many runs never need it.
+#: The primes 2..41: trial divisors ahead of every test below, and the
+#: Miller-Rabin bases of `is_prime`.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13: the least odd composite that passes strong-pseudoprime tests to all
+#: 13 bases in _SMALL_PRIMES (Sorenson and Webster, Math. Comp. 86 (2017)),
+#: so Miller-Rabin with those bases is exact below it.
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+#: `_squarefree_split` trial-divides up to the cube root, about 2.6e6 here.
+_RADICAND_LIMIT = 2**64
 
 
 def is_prime(n: int) -> bool:
-    import sympy
+    """Exact primality for n < psi_13; raises SizeGuardExceeded at or above it."""
+    if n >= _MR_EXACT_BELOW:
+        raise SizeGuardExceeded(
+            f"primality of {n}: 13-base Miller-Rabin is proven exact only below {_MR_EXACT_BELOW}"
+        )
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41, hence none up to sqrt(n)
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    return sympy.isprime(n)
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p**k, p prime, k >= 1; None if q is not one."""
+    """Return (p, k) with q = p**k, p prime, k >= 1; None if q is not one.
+
+    No factoring: small primes first, then exact k-th roots.  Raises
+    SizeGuardExceeded where `is_prime` would have to decide a value >= psi_13.
+    """
     if q < 2:
         return None
-    import sympy
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q, k = q // p, k + 1
+            return (p, k) if q == 1 else None
+    # every prime factor of q now exceeds 2**5, so q = p**k forces 5k < bits
+    for k in range(q.bit_length() // 5, 1, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            return (r, k) if is_prime(r) else None
+    return (q, 1) if is_prime(q) else None
 
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        return None
-    (p, k), = fac.items()
-    return int(p), int(k)
+
+def _trial_divide(n: int, root: int) -> tuple[dict[int, int], int]:
+    """Divide out every prime p with p**root <= the cofactor left by smaller
+    primes; returns ({p: exponent}, cofactor).  The cofactor then has fewer
+    than `root` prime factors, counted with multiplicity."""
+    factors = {}
+    p = 2
+    while p**root <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n, k = n // p, k + 1
+            factors[p] = k
+        p += 1 if p == 2 else 2
+    return factors, n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    factors, rest = _trial_divide(n, 2)
+    return list(factors) + ([rest] if rest > 1 else [])
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*d with d squarefree; returns (s, d).  Requires n >= 0."""
+    """n = s*s*d with d squarefree; returns (s, d).  Requires 0 <= n < 2**64."""
     if n == 0:
         return 0, 1
-    import sympy
-
+    if n >= _RADICAND_LIMIT:
+        raise SizeGuardExceeded(f"squarefree split of {n}: radicands stop below 2**64")
+    factors, rest = _trial_divide(n, 3)
     s, d = 1, 1
-    for p, e in sympy.factorint(n).items():
-        s *= int(p) ** (e // 2)
+    for p, e in factors.items():
+        s *= p ** (e // 2)
         if e % 2:
-            d *= int(p)
-    return s, d
+            d *= p
+    # rest is 1, a prime, a product of two distinct primes or a prime square
+    r = math.isqrt(rest)
+    if r * r == rest:
+        return s * r, d
+    return s, d * rest
 
 
 @dataclass(frozen=True)
@@ -265,6 +343,68 @@ def srg_multiplicities(n: int, k: int, lam: int, mu: int) -> tuple[int, int]:
     return m1.as_int(), m2.as_int()
 
 
+# -- polynomials over GF(p): ascending coefficient lists --------------------
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over GF(p), trimmed; b is trimmed and nonzero."""
+    a = _poly_trim([c % p for c in a])
+    nb = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) > nb:
+        c = a[-1] * inv % p
+        shift = len(a) - 1 - nb
+        for j in range(nb):
+            a[shift + j] = (a[shift + j] - c * b[j]) % p
+        a.pop()
+        _poly_trim(a)
+    return a
+
+
+def _poly_mulmod(a: list[int], b: list[int], f, p: int) -> list[int]:
+    """a*b mod the monic f of degree k over GF(p), as exactly k coefficients."""
+    k = len(f) - 1
+    prod = [0] * max(len(a) + len(b) - 1, k)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(k):
+                prod[i - k + j] -= c * f[j]
+    return [c % p for c in prod[:k]]
+
+
+def _is_irreducible(f, p: int) -> bool:
+    """Ben-Or: a monic f of degree k is irreducible over GF(p) iff
+    gcd(x^(p^i) - x, f) = 1 for every 1 <= i <= k/2."""
+    k = len(f) - 1
+    h = [0, 1] + [0] * (k - 2)  # x mod f; the loop runs only for k >= 2
+    for _ in range(k // 2):
+        out, base, e = [1] + [0] * (k - 1), h, p
+        while e:  # h <- h^p mod f, so h = x^(p^i) mod f
+            if e & 1:
+                out = _poly_mulmod(out, base, f, p)
+            base = _poly_mulmod(base, base, f, p)
+            e >>= 1
+        h = out
+        b = list(h)
+        b[1] = (b[1] - 1) % p
+        a, b = list(f), _poly_trim(b)
+        while b:  # Euclid: a ends as gcd(f, x^(p^i) - x) up to a unit
+            a, b = b, _poly_rem(a, b, p)
+        if len(a) > 1:
+            return False
+    return True
+
+
 class FiniteField:
     """GF(p^k) with elements encoded as integers in [0, p^k).
 
@@ -285,6 +425,7 @@ class FiniteField:
         self.k = k
         self.q = p**k
         self.modulus = self._least_irreducible()
+        self._order_primes = _prime_factors(self.q - 1)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._primitive: int | None = None
@@ -293,19 +434,12 @@ class FiniteField:
 
     # -- construction helpers ---------------------------------------------
     def _least_irreducible(self) -> tuple[int, ...]:
-        """Monic irreducible (c_0, ..., c_{k-1}, 1), ascending coefficients."""
-        p, k = self.p, self.k
-        if k == 1:
-            return (0, 1)
-        from sympy.polys.domains import ZZ
-        from sympy.polys.galoistools import gf_irreducible_p
-
-        for m in range(p**k):
-            coeffs = self._digits(m)
-            # sympy wants dense descending order with leading coefficient first
-            dense = [1] + list(reversed(coeffs))
-            if gf_irreducible_p([ZZ(c) for c in dense], p, ZZ):
-                return tuple(coeffs) + (1,)
+        """Monic irreducible (c_0, ..., c_{k-1}, 1), ascending coefficients:
+        the first candidate, in the encoding order, that passes Ben-Or."""
+        for m in range(self.q):
+            f = tuple(self._digits(m)) + (1,)
+            if _is_irreducible(f, self.p):
+                return f
         raise AssertionError("no irreducible polynomial found")  # unreachable
 
     def _digits(self, e: int) -> list[int]:
@@ -337,22 +471,7 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def _polymul(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        # reduce by the monic modulus
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * mod[j]
-            prod[i] = 0
-        return self._undigits([c % p for c in prod[:k]])
+        return self._undigits(_poly_mulmod(self._digits(a), self._digits(b), self.modulus, self.p))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -388,11 +507,8 @@ class FiniteField:
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 is not in the multiplicative group")
-        import sympy
-
         order = self.q - 1
-        for r in sympy.factorint(order):
-            r = int(r)
+        for r in self._order_primes:
             while order % r == 0 and self.pow(a, order // r) == 1:
                 order //= r
         return order

@@ -114,6 +114,15 @@ def test_analyze_rejects_composite_prime_flag(capsys, petersen_file):
     assert "not prime" in err
 
 
+def test_analyze_prime_flag_at_psi_13_is_a_usage_error(capsys, petersen_file):
+    # 13-base Miller-Rabin is proven exact only below psi_13, so no verdict
+    code, text, err = run(capsys, "analyze", petersen_file, "--prime", "3317044064679887385961981")
+    assert code == 2
+    assert text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "proven exact only below" in err
+
+
 def test_analyze_rejects_non_srg_input(tmp_path, capsys):
     path = tmp_path / "path.srg"
     path.write_text("3 2\n0 1\n1 2\n")

@@ -1,17 +1,23 @@
 """Exact scalar layer: quadratic extension arithmetic and finite fields."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from srgta import exactmath
 from srgta.exactmath import (
     DEFAULT_PRIMES,
     DegreeZero,
+    FiniteField,
     NotPrime,
     QuadExt,
+    SizeGuardExceeded,
     TrivialField,
+    _is_irreducible,
+    _squarefree_split,
     gf_construct,
     gf_primitive_element,
     is_prime,
@@ -19,6 +25,17 @@ from srgta.exactmath import (
     srg_eigenvalues,
     srg_multiplicities,
 )
+
+#: psi_12 and psi_13: the least odd composites that are strong pseudoprimes
+#: to the first 12 and to the first 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    """The differential oracle; tests that use it skip without it."""
+    return pytest.importorskip("sympy")
 
 # a small panel of feasible primitive parameter sets used across the file
 PARAM_PANEL = [
@@ -42,6 +59,99 @@ def test_prime_power_decomposition():
     assert prime_power(12) is None
     assert prime_power(1) is None
     assert prime_power(0) is None
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # each passes Miller-Rabin for a prefix of the bases 2, 3, 5, ...:
+    # 2047 for 2, 3215031751 for 2..7, 3825123056546413051 for 2..29 and
+    # psi_12 for 2..37, so only base 41 rejects it
+    for n in (2047, 3215031751, 3825123056546413051, PSI_12):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2147483659)
+    assert not is_prime(2**61 + 1)
+
+
+def test_is_prime_refuses_to_guess_at_psi_13():
+    with pytest.raises(SizeGuardExceeded, match="proven exact only below"):
+        is_prime(PSI_13)
+    with pytest.raises(SizeGuardExceeded):
+        is_prime(PSI_13 + 1)
+    assert not is_prime(PSI_13 - 1)
+
+
+def test_prime_power_of_large_prime_bases():
+    p = 1000003
+    assert prime_power(p**3) == (p, 3)
+    assert prime_power(p**2 * 1000033) is None
+    assert prime_power(3**60) == (3, 60)  # past psi_13, but 3 divides it
+    assert prime_power(1000003 * 1000033) is None
+    # perfect powers whose base has no prime factor up to 41
+    assert prime_power(43**6) == (43, 6)
+    assert prime_power((43 * 47) ** 2) is None
+    assert prime_power((43 * 43 * 47) ** 3) is None
+    assert prime_power((1000003 * 1000033) ** 2) is None
+
+
+def test_is_prime_and_prime_power_match_sympy_below_2e5(sympy):
+    limit = 200_000
+    primes = list(sympy.primerange(limit))
+    expected = {}
+    for p in primes:
+        q, k = p, 1
+        while q < limit:
+            expected[q] = (p, k)
+            q, k = q * p, k + 1
+    prime_set = set(primes)
+    for n in range(limit):
+        assert is_prime(n) == (n in prime_set), n
+        assert prime_power(n) == expected.get(n), n
+
+
+def test_is_prime_and_prime_power_match_sympy_on_20_to_80_bit_integers(sympy):
+    # random odd integers, and beside each a prime, a prime power, three
+    # times that power and a product of two consecutive primes
+    rng = random.Random(2017)
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randint(20, 80)) | 1
+        p = int(sympy.nextprime(rng.getrandbits(rng.randint(6, 39))))
+        k = rng.randint(1, 78 // p.bit_length())
+        for m in (n, p, p**k, p**k * 3, p * int(sympy.nextprime(p))):
+            assert is_prime(m) == sympy.isprime(m), m
+            # perfect_power gives the largest exponent, so a prime power's base is prime
+            base, e = sympy.perfect_power(m) or (m, 1)
+            want = (int(base), int(e)) if sympy.isprime(base) else None
+            assert prime_power(m) == want, m
+
+
+def _split_by_sympy(sympy, n):
+    s, d = 1, 1
+    for p, e in sympy.factorint(n).items():
+        s *= int(p) ** (e // 2)
+        d *= int(p) ** (e % 2)
+    return s, d
+
+
+def test_squarefree_split_matches_sympy_below_5e4(sympy):
+    for n in range(1, 50_000):
+        assert _squarefree_split(n) == _split_by_sympy(sympy, n), n
+
+
+@pytest.mark.parametrize("p,q", [(1000003, 1000033), (65537, 3)])
+def test_squarefree_split_past_the_cube_root(sympy, p, q):
+    # trial division stops at the cube root of what is left, so the cofactor
+    # is p*p, p*q or, for p*p*q, p*p once q is divided out
+    assert _squarefree_split(p * p) == (p, 1)
+    assert _squarefree_split(p * q) == (1, p * q)
+    assert _squarefree_split(p * p * q) == (p, q)
+    assert _squarefree_split(q * q * p) == (q, p)
+    for n in (p * p, p * q, p * p * q, q * q * p, 4 * p * p * q):
+        assert _squarefree_split(n) == _split_by_sympy(sympy, n), n
+
+
+def test_squarefree_split_refuses_radicands_from_2_to_the_64():
+    assert _squarefree_split(2**64 - 1) == (1, 2**64 - 1)
+    with pytest.raises(SizeGuardExceeded):
+        _squarefree_split(2**64)
 
 
 def test_default_primes_are_prime_and_distinct():
@@ -178,6 +288,56 @@ def test_gf9_modulus_is_least_irreducible():
 
 def test_gf8_modulus():
     assert gf_construct(2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 2, (1, 1, 1)),  # x^2 + x + 1
+    (2, 4, (1, 1, 0, 0, 1)),  # x^4 + x + 1
+    (5, 2, (2, 0, 1)),  # x^2 + 2
+    (3, 3, (1, 2, 0, 1)),  # x^3 + 2x + 1
+    (7, 2, (1, 0, 1)),  # x^2 + 1
+])
+def test_small_field_moduli(p, k, modulus):
+    assert gf_construct(p, k).modulus == modulus
+
+
+def _sympy_irreducible(sympy, coeffs, p):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    # sympy wants dense descending coefficients, leading one first
+    return gf_irreducible_p([ZZ(c) for c in reversed(coeffs)], p, ZZ)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (5, 3), (7, 3), (11, 2), (13, 2)])
+def test_irreducibility_matches_sympy_on_every_monic_polynomial(sympy, p, k):
+    for degree in range(1, k + 1):
+        for low in product(range(p), repeat=degree):
+            f = low + (1,)
+            assert _is_irreducible(f, p) == _sympy_irreducible(sympy, f, p), f
+
+
+def test_least_irreducible_matches_sympy_for_fields_up_to_4096(sympy):
+    for q in range(4, 4097):
+        pk = prime_power(q)
+        if pk is None or pk[1] == 1:
+            continue
+        p, k = pk
+        field = gf_construct(p, k)
+        modulus = field.modulus
+        assert _sympy_irreducible(sympy, modulus, p), (q, modulus)
+        index = field._undigits(modulus[:-1])
+        for m in range(index):
+            assert not _sympy_irreducible(sympy, tuple(field._digits(m)) + (1,), p), (q, m)
+
+
+def test_primitive_element_factors_group_order_once(monkeypatch):
+    calls = []
+    factor = exactmath._prime_factors
+    monkeypatch.setattr(exactmath, "_prime_factors", lambda n: calls.append(n) or factor(n))
+    f = FiniteField(4099, 1)  # above the table threshold: no exp/log tables
+    assert f.primitive_element() == 2
+    assert calls == [4098]
 
 
 def test_gf_construct_guards():

@@ -6,9 +6,14 @@ isomorphisms between families.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srgta
 from srgta.autgrp import find_isomorphism
 from srgta.families import (
     BadCongruence,
@@ -198,3 +203,31 @@ def test_vertex_numbering_is_pinned(tag, params):
     g = construct(FamilySpec(tag, params))
     digest = hashlib.sha1(g.adjacency_dense().tobytes()).hexdigest()
     assert digest == ADJACENCY_SHA1[tag, params]
+
+
+# every family built over GF(q), one small member each, then the CLI path
+COLD_START = """
+import sys
+import srgta
+from srgta.cli import main
+
+for tag, params in [("paley", (49,)), ("peisert", (3, 1)), ("o6minus", (2,)),
+                    ("vo", (-1, 2, 2)), ("bilinear", (2, 2)), ("grassmann", (2, 4))]:
+    srgta.construct(srgta.FamilySpec(tag, params))
+srgta.srg_multiplicities(13, 6, 2, 3)
+assert main(["construct", "paley", "49", "-o", sys.argv[1]]) == 0
+assert main(["classify", "49", "24", "11", "12"]) == 0
+print("sympy" in sys.modules)
+"""
+
+
+def test_field_families_build_without_importing_sympy(tmp_path):
+    # run in a fresh process: this test session itself may have loaded sympy
+    src = str(Path(srgta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path / "paley_49.srg")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
