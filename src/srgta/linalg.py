@@ -1,12 +1,12 @@
 """Exact linear algebra on spaces of n×n matrices over a prime field.
 
-Matrices are flattened to integer vectors, or given by coordinates in a
-basis, and kept in reduced echelon bases, one per cell pair (BlockBasis),
-so span and block dimensions fall out of row reduction.  The field
-substitutes for the complex numbers: ranks of integer matrices over GF(p)
-can only drop relative to the rationals, and only for finitely many p, so
-agreement across two independent primes (plus an optional all-rational
-mode) is the correctness bar.
+Matrices are held by coordinates, their entries or their values on classes
+of entries they are constant on, and kept in reduced echelon bases, one per
+cell pair (BlockBasis), so span and block dimensions fall out of row
+reduction.  The field substitutes for the complex numbers: ranks of integer
+matrices over GF(p) can only drop relative to the rationals, and only for
+finitely many p, so agreement across two independent primes (plus an
+optional all-rational mode) is the correctness bar.
 
 Every product is matmul_mod's: BLAS float64 whenever n·(p−1)² < 2⁵³ makes it
 exact, which holds for the default 20-bit primes up to the closure size guard,
@@ -38,6 +38,10 @@ class PrimeDisagreement(RuntimeError):
 
 class ClosureSelfTestFailed(RuntimeError):
     """A product of spanning matrices fell outside the computed closure."""
+
+
+class NotConstantOnClasses(ValueError):
+    """A matrix differs within a coordinate class it is to be held by."""
 
 
 def _exact(p: int | None) -> bool:
@@ -128,22 +132,36 @@ class SubspaceBasis:
 class BlockBasis:
     """Echelon bases of a space of block-pure matrices, one per cell pair.
 
-    The coordinates split into cells of the given sizes.  A matrix is
-    block-pure when it is zero outside one cell pair Δᵢ×Δₗ; it is held as
-    that block with its pair (i, l), or as any `widths[i][l]` coordinates of
-    it.  A space spanned by such matrices is the direct sum of its per-pair
-    parts, so its block dimensions are the dims of the per-pair bases and
-    its dim is their sum.
+    The entries split into cells of the given sizes.  A matrix is block-pure
+    when it is zero outside one cell pair Δᵢ×Δₗ.  `labels[i, l]`, an integer
+    array of that block's shape, splits its entries into classes numbered
+    0, 1, … in the order of their first entries (row-major); every matrix of
+    the space is constant on them and is held by its coordinates, its values
+    at those first entries.  By default every entry is its own class, so the
+    coordinates are the block's entries.  A space spanned by block-pure
+    matrices is the direct sum of its per-pair parts, so its block
+    dimensions are the dims of the per-pair bases and its dim is their sum.
     """
 
-    def __init__(self, p: int | None, sizes, widths=None):
+    def __init__(self, p: int | None, sizes, labels=None):
         self.sizes = tuple(sizes)
-        if widths is None:
-            widths = [[a * b for b in self.sizes] for a in self.sizes]
-        c = len(self.sizes)
-        self.bases = {
-            (i, l): SubspaceBasis(p, int(widths[i][l])) for i, l in product(range(c), repeat=2)
-        }
+        self.labels, self.firsts, self.bases = {}, {}, {}
+        for i, l in product(range(len(self.sizes)), repeat=2):
+            shape = (self.sizes[i], self.sizes[l])
+            if labels is None:
+                block = np.arange(shape[0] * shape[1]).reshape(shape)
+            else:
+                block = np.asarray(labels[i, l])
+            if block.shape != shape:
+                raise DimMismatch(f"labels of block {(i, l)} have shape {block.shape} != {shape}")
+            flat = block.reshape(-1)
+            step = np.diff(np.maximum.accumulate(flat), prepend=-1)  # 1 at a first entry
+            if np.any(step > 1) or np.any(flat < 0):
+                raise ValueError(f"labels of block {(i, l)} are not numbered by first entries")
+            first = np.flatnonzero(step)
+            self.labels[i, l] = block
+            self.firsts[i, l] = first
+            self.bases[i, l] = SubspaceBasis(p, len(first))
 
     @property
     def dim(self) -> int:
@@ -153,79 +171,81 @@ class BlockBasis:
         c = len(self.sizes)
         return np.array([[self.bases[i, l].dim for l in range(c)] for i in range(c)])
 
-    def insert(self, pair, block) -> bool:
-        """Add a block-pure matrix to the span; True iff the dimension grew."""
-        return self.bases[pair].insert(block.reshape(-1))
+    def dense(self, pair, x) -> np.ndarray:
+        """The block of the matrix with coordinates x."""
+        labels = self.labels[pair]
+        if len(self.firsts[pair]) == labels.size:  # every entry is its own class
+            return x.reshape(labels.shape)
+        return x.reshape(-1)[labels]
 
-    def contains(self, pair, block) -> bool:
-        return self.bases[pair].contains(block.reshape(-1))
+    def coordinates(self, pair, block) -> np.ndarray:
+        """The coordinates of a block; NotConstantOnClasses if it has none."""
+        if len(self.firsts[pair]) == block.size:
+            return block.reshape(-1)
+        x = block.reshape(-1)[self.firsts[pair]]
+        if np.any(x[self.labels[pair]] != block):
+            raise NotConstantOnClasses(f"a block {pair} matrix differs within a coordinate class")
+        return x
 
+    def insert(self, pair, x) -> bool:
+        """Add a block-pure matrix, given by its coordinates, to the span;
+        True iff the dimension grew."""
+        return self.bases[pair].insert(x.reshape(-1))
 
-def field_array(m, p: int | None) -> np.ndarray:
-    """An integer array of any shape with its entries in the field: reduced
-    mod p, and Python integers where the arithmetic is exact (see _exact)."""
-    m = np.asarray(m)
-    if _exact(p):
-        flat = [int(x) % p if p else int(x) for x in m.reshape(-1)]
-        return np.array(flat, dtype=object).reshape(m.shape)
-    return m.astype(np.int64, copy=False) % p
+    def contains(self, pair, x) -> bool:
+        return self.bases[pair].contains(x.reshape(-1))
 
 
 def _normalize(m, shape: tuple[int, int], p: int | None) -> np.ndarray:
+    """An integer matrix of the given shape with its entries in the field:
+    reduced mod p, and Python integers where the arithmetic is exact (see
+    _exact)."""
     m = np.asarray(m)
     if m.shape != shape:
         raise DimMismatch(f"matrix shape {m.shape} != {shape}")
-    return field_array(m, p)
+    if _exact(p):
+        flat = [int(x) % p if p else int(x) for x in m.reshape(-1)]
+        return np.array(flat, dtype=object).reshape(shape)
+    return m.astype(np.int64, copy=False) % p
 
 
-def stack_lefts(ops) -> tuple[np.ndarray, list] | None:
-    """Left operators [(i, op)] on one block, stacked into one matrix, with
-    the rows (i, start, stop) of each; None when there are none."""
-    if not ops:
-        return None
-    bounds, start = [], 0
-    for i, op in ops:
-        bounds.append((i, start, start + len(op)))
-        start += len(op)
-    return np.concatenate([op for _, op in ops]), bounds
-
-
-def block_closure(space: BlockBasis, seeds, lefts, p: int | None, cap: int | None = None):
-    """Close the span of `seeds`, ((i, l), coordinates) pairs, in `space`
-    under left operators: lefts[k, l] is stack_lefts of the (i, op) where op
-    takes the coordinates of a block-(k, l) element to those of a block-(i, l)
-    element as matmul_mod(op, x, p).  The inserted vectors are walked in
-    insertion order and every op·x is pushed, all ops on x by one product,
-    so the result is the least space holding the seeds and closed under
-    every op.
-
-    Returns the spanning pairs actually inserted and the seeds' block
-    dimensions.  Raises ClosureBudgetExceeded once the dimension passes cap
-    (default 4n, n the sum of the cell sizes).
-    """
-    n = sum(space.sizes)
-    budget = 4 * n if cap is None else cap
-    mats: list = []
-
-    def push(pair, v: np.ndarray) -> None:
-        if space.insert(pair, v):
-            mats.append((pair, v.copy()))  # a slice would keep its whole product alive
-            if space.dim > budget:
-                raise ClosureBudgetExceeded(
-                    f"closure dimension exceeded {budget} on a {n}-vertex space"
-                )
-
-    for pair, v in seeds:
-        push(pair, v)
-    seeded = space.blocks()
-    for (k, l), x in mats:        # mats grows while it is walked
-        if lefts[k, l] is None:
+def _left_operators(space: BlockBasis, gens) -> dict:
+    """x ↦ g·x on coordinates, for the generators g of block (i, k): for
+    each (k, l), None if no g has column cell k, else (ops, gather, bounds)
+    such that the coordinates of every g·x, x in block (k, l), are
+    matmul_mod(ops, space.dense((k, l), x), p).reshape(-1)[gather][start:
+    stop] for the (i, start, stop) of bounds; gather is None where it would
+    take every entry in order.  Only the rows of g that hold the first entry
+    of some class of a block (i, ·) are multiplied: for a group's orbitals,
+    one row per orbit of the group on Δᵢ (the least of it), so one row when
+    the group is transitive on Δᵢ and every row when it is trivial."""
+    c, sizes = len(space.sizes), space.sizes
+    rows, where = {}, {}  # the rows of cell i multiplied, and each row's place among them
+    for i in range(c):
+        used = np.zeros(sizes[i], dtype=bool)
+        for l in range(c):
+            used[space.firsts[i, l] // sizes[l]] = True
+        rows[i], where[i] = np.flatnonzero(used), used.cumsum() - 1
+    lefts = {}
+    for k in range(c):
+        mine = [(i, g) for (i, inner), g in gens if inner == k]
+        if not mine:
+            lefts.update({(k, l): None for l in range(c)})
             continue
-        ops, bounds = lefts[k, l]
-        products = matmul_mod(ops, x, p)
-        for i, start, stop in bounds:
-            push((i, l), products[start:stop])
-    return mats, seeded
+        offsets = np.cumsum([0] + [len(rows[i]) for i, _ in mine])
+        ops = np.concatenate([g[rows[i]] for i, g in mine])
+        for l in range(c):
+            ends = np.cumsum([0] + [len(space.firsts[i, l]) for i, _ in mine])
+            bounds = [(i, a, b) for (i, _), a, b in zip(mine, ends, ends[1:])]
+            if ends[-1] == len(ops) * sizes[l]:  # every entry is a coordinate, in order
+                lefts[k, l] = ops, None, bounds
+                continue
+            gather = []
+            for (i, _), offset in zip(mine, offsets):
+                r, cols = np.divmod(space.firsts[i, l], sizes[l])
+                gather.append((offset + where[i][r]) * sizes[l] + cols)
+            lefts[k, l] = ops, np.concatenate(gather), bounds
+    return lefts
 
 
 def algebra_closure(
@@ -233,47 +253,73 @@ def algebra_closure(
     sizes,
     p: int | None = DEFAULT_PRIMES[0],
     cap: int | None = None,
+    labels=None,
 ) -> tuple[BlockBasis, list, np.ndarray]:
     """Smallest product-closed space holding the cell identities E*ᵢ and gens,
     block-pure matrices given as ((i, l), block) over cells of the given sizes.
     With one cell this is the algebra generated by I and gens.
 
-    A space holding these seeds and closed under x ↦ g·x for each g in gens
-    holds every word in them, so pushing g·x per spanning matrix x suffices
-    (block_closure); g·x is zero unless g's column cell is x's row cell, and
-    only those products are formed.
+    The space is held on the coordinates of `labels` (BlockBasis), which
+    the caller vouches every matrix of the closure is constant on: the
+    orbitals of any permutation group that keeps the cells and commutes with
+    every generator will do, the trivial group's (the default) always do.  A
+    seed that is not constant on them raises NotConstantOnClasses; a product
+    that is not is what closure_product_selftest catches.
 
-    Returns the space, the spanning ((i, l), block) pairs actually inserted
-    (any product of two with matching inner cells lies in the span, which
-    the closure self-test relies on) and the seeds' block dimensions.  Raises
-    ClosureBudgetExceeded once the dimension passes cap (default 4n).
+    A space holding these seeds and closed under x ↦ g·x for each g in gens
+    holds every word in them, so pushing g·x per spanning matrix x suffices;
+    g·x is zero unless g's column cell is x's row cell, and only those
+    products are formed (_left_operators).  The inserted matrices are walked
+    in insertion order, all g·x of one x by one product.
+
+    Returns the space, the spanning ((i, l), coordinates) pairs actually
+    inserted (any product of two with matching inner cells lies in the span,
+    which the closure self-test relies on) and the seeds' block dimensions.
+    Raises ClosureBudgetExceeded once the dimension passes cap (default 4n,
+    n the sum of the cell sizes).
     """
     if not gens:
         raise ValueError("need at least one generator")
-    space = BlockBasis(p, sizes)
+    space = BlockBasis(p, sizes, labels)
     sizes = space.sizes
     gens = [((i, l), _normalize(g, (sizes[i], sizes[l]), p)) for (i, l), g in gens]
+    gens = [(pair, g) for pair, g in gens if g.any()]
     eyes = [((i, i), _normalize(np.eye(a, dtype=np.int64), (a, a), p)) for i, a in enumerate(sizes)]
-    by_inner = [
-        stack_lefts([(i, g) for (i, inner), g in gens if inner == k and np.any(g)])
-        for k in range(len(sizes))
-    ]
-    lefts = {(k, l): by_inner[k] for k, l in product(range(len(sizes)), repeat=2)}
-    mats, seeded = block_closure(space, eyes + gens, lefts, p, cap)
+    lefts = _left_operators(space, gens)
+    n = sum(sizes)
+    budget = 4 * n if cap is None else cap
+    mats: list = []
+
+    def push(pair, x: np.ndarray) -> None:
+        if space.insert(pair, x):
+            mats.append((pair, x.copy()))  # a slice would keep its whole product alive
+            if space.dim > budget:
+                raise ClosureBudgetExceeded(
+                    f"closure dimension exceeded {budget} on a {n}-vertex space"
+                )
+
+    for pair, m in eyes + gens:
+        push(pair, space.coordinates(pair, m))
+    seeded = space.blocks()
+    for (k, l), x in mats:        # mats grows while it is walked
+        if lefts[k, l] is None:
+            continue
+        ops, gather, bounds = lefts[k, l]
+        products = matmul_mod(ops, space.dense((k, l), x), p).reshape(-1)
+        if gather is not None:
+            products = products[gather]
+        for i, start, stop in bounds:
+            push((i, l), products[start:stop])
     return space, mats, seeded
 
 
-def closure_product_selftest(space: BlockBasis, mats: list, p: int | None, multiply=None) -> None:
+def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> None:
     """Membership of 50 random spanning-matrix products back in the span; the
     second factor is drawn among those whose row cell is the first's column
-    cell, since other products are zero.  `multiply(x_pair, x, y_pair, y)`
-    gives a product in the coordinates of `space`; by default the spanning
-    elements are the blocks themselves and it is matmul_mod."""
+    cell, since other products are zero.  Each product is formed densely and
+    must be constant on the coordinate classes of its cell pair."""
     if not mats:
         return
-    if multiply is None:
-        def multiply(x_pair, x, y_pair, y):
-            return matmul_mod(x, y, p)
     rows = {}
     for idx, ((k, _), _) in enumerate(mats):
         rows.setdefault(k, []).append(idx)
@@ -283,7 +329,14 @@ def closure_product_selftest(space: BlockBasis, mats: list, p: int | None, multi
         (a, k), x = mats[i]
         j = rows[k][int(rng.integers(len(rows[k])))]
         (_, l), y = mats[j]
-        if not space.contains((a, l), multiply((a, k), x, (k, l), y)):
+        dense = matmul_mod(space.dense((a, k), x), space.dense((k, l), y), p)
+        try:
+            coords = space.coordinates((a, l), dense)
+        except NotConstantOnClasses as err:
+            raise ClosureSelfTestFailed(
+                f"product of spanning matrices {i} and {j}: {err}"
+            ) from None
+        if not space.contains((a, l), coords):
             raise ClosureSelfTestFailed(
                 f"product of spanning matrices {i} and {j} lies outside the span"
             )

@@ -11,11 +11,11 @@ nest:
 Dimensions and 3×3 block decompositions of all three are computed exactly,
 from one context at ω built once (PairOrbitals): T₀ and T as the first step
 and the fixed point of one block-by-block closure per field (t0_t_report),
-T̃ by counting stabilizer orbitals on pairs.  Since T ⊆ T̃, the closure can
-run on those orbitals' coordinates instead of matrix entries (Bannai &
-Munemasa, Kyushu J. Math. 49, 1995), or be skipped when T₀ already fills
-T̃.  A floating-point cross-check of dim T from subconstituent spectra is
-provided as an advisory, never a verdict source.
+T̃ by counting stabilizer orbitals on pairs.  Since T ⊆ T̃, the closure
+runs on those orbitals' coordinates (Bannai & Munemasa, Kyushu J. Math. 49,
+1995), the matrix entries for a trivial group, and is skipped when T₀
+already fills T̃.  A floating-point cross-check of dim T from subconstituent
+spectra is provided as an advisory, never a verdict source.
 """
 
 from __future__ import annotations
@@ -38,14 +38,9 @@ from .graphcore import (
     vertex_partition,
 )
 from .linalg import (
-    BlockBasis,
-    ClosureSelfTestFailed,
     PrimeDisagreement,
     algebra_closure,
-    block_closure,
     closure_product_selftest,
-    field_array,
-    matmul_mod,
 )
 from .permgroup import (
     GroupBSGS,
@@ -174,97 +169,6 @@ def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
     return PairOrbitals(omega, params, chain, orbits(stab_gens, n), slices, relation, labels, reps)
 
 
-def _orbital_operators(orb: PairOrbitals) -> dict:
-    """block_closure's left operators on orbital coordinates, as integers:
-    for each (k, l), the stacked matrices L of x ↦ E*ᵢA_jE*ₖ·x from block
-    (k, l) to block (i, l), j = 1, 2, i = 0, 1, 2.  The product commutes
-    with G_ω, so its coordinate c is its value at the least pair
-    (x_c, y_c): entry (c, b) of L counts the z ∈ Δₖ in relation j to x_c
-    with (z, y_c) in orbital b.  One bincount per (k, l) counts them for
-    every i and j."""
-    lefts = {}
-    for k, l in _PAIRS:
-        reps = np.concatenate([orb.reps[i, l] for i in range(3)])
-        rows, cols = len(reps), len(orb.reps[k, l])
-        rel = orb.relation[reps[:, 0], orb.cells[k]].astype(np.intp)
-        code = ((rel - 1) * rows + np.arange(rows)[:, None]) * cols
-        code += orb.labels[orb.cells[k], reps[:, 1]].T
-        ops = np.bincount(code[rel > 0], minlength=2 * rows * cols).reshape(2 * rows, cols)
-        ends = np.cumsum([0] + [len(orb.reps[i, l]) for i in range(3)])
-        bounds = [
-            (i, j * rows + a, j * rows + b)
-            for j in range(2)
-            for i, (a, b) in enumerate(zip(ends, ends[1:]))
-            if ops[j * rows + a : j * rows + b].any()
-        ]
-        lefts[k, l] = (ops, bounds) if bounds else None
-    return lefts
-
-
-def _orbital_closure(orb: PairOrbitals, ops: dict, p: int | None, selftest: bool):
-    """T₀'s and T's block dimensions over one field, in orbital coordinates;
-    `ops` is _orbital_operators(orb), shared by the fields."""
-    space = BlockBasis(p, orb.sizes, widths=orb.blocks)
-    seeds = []
-    for pair in _PAIRS:  # the nonzero sandwiches, one per relation present
-        kinds = orb.kinds(pair)
-        seeds += [(pair, field_array(kinds == j, p)) for j in np.unique(kinds)]
-    lefts = {
-        pair: None if left is None else (field_array(left[0], p), left[1])
-        for pair, left in ops.items()
-    }
-    mats, seeded = block_closure(space, seeds, lefts, p)
-    if selftest:
-
-        def multiply(x_pair, x, y_pair, y):
-            # the product of two elements of T̃, formed densely: it must be
-            # constant on orbitals, and its coordinates are then its values
-            pair = (x_pair[0], y_pair[1])
-            dense = matmul_mod(x[orb.block(x_pair)], y[orb.block(y_pair)], p)
-            labels = orb.block(pair)
-            coords = np.empty(len(orb.reps[pair]), dtype=dense.dtype)
-            coords[labels] = dense
-            if np.any(coords[labels] != dense):
-                raise ClosureSelfTestFailed("a product is not constant on the orbitals of G_ω")
-            return coords
-
-        closure_product_selftest(space, mats, p, multiply)
-    return seeded, space.blocks()
-
-
-def _dense_closure(orb: PairOrbitals, p: int | None, selftest: bool):
-    """T₀'s and T's block dimensions over one field, block by block on matrix
-    entries; the generators are the blocks of A₁ and A₂ on each cell pair."""
-    rel = orb.relation
-    gens = [((i, l), rel[orb.cells[i], orb.cells[l]] == j) for i, l in _PAIRS for j in (1, 2)]
-    space, mats, seeded = algebra_closure(gens, orb.sizes, p)
-    if selftest:
-        closure_product_selftest(space, mats, p)
-    return seeded, space.blocks()
-
-
-def _t_path(orb: PairOrbitals) -> str:
-    """How T is computed.  When every orbital is a sandwich, dim T₀ is the
-    number k of orbitals and T₀ ⊆ T ⊆ T̃ pins T = T₀ ("sandwich").  Otherwise
-    in orbital coordinates when the operators, Σᵢₖₗ kᵢₗ·kₖₗ entries, are at
-    most n³, the dense closure's multiply-adds for one product per cell
-    triple ("orbital"); else, as for trivial groups (k = n²), densely.
-
-    The bound n³ is an operation count, set against timings of both closures
-    on Paley(q) with G_ω cut down to its subgroups of each order
-    (scripts/t_path_crossover.py, 2-core host, BLAS on one thread).  Over the
-    two default primes the orbital one was faster at ratios Σ/n³ up to 1.18
-    and slower from 1.98 up at q = 61 and 101, so the bound sits at the
-    crossover there; at q ≤ 29 both take 7–30 ms and below the bound the
-    orbital one is up to 2.3 ms slower.  Over ℚ it was faster up to a ratio
-    of 3.4, so the bound is cautious there."""
-    blocks = orb.blocks
-    if sum(len(np.unique(orb.kinds(pair))) for pair in _PAIRS) == blocks.sum():
-        return "sandwich"
-    n = len(orb.relation)
-    return "orbital" if np.sum(blocks.sum(axis=0) ** 2) <= n**3 else "dense"
-
-
 def t0_t_report(
     g: Graph,
     omega: int = 0,
@@ -277,9 +181,12 @@ def t0_t_report(
     ⊕ E*ᵢTE*ₗ, so the closure runs block by block: its seeds are the nonzero
     sandwiches (those with j = 0 are the E*ᵢ), and it multiplies on the left
     by those with j ∈ {1, 2}.  The span of the seeds is T₀, the fixed point
-    is T.  This is the group-less entry point: its context is that of the
-    trivial group, so T is closed densely; analyze_vertex, which holds G_ω,
-    may pin T by T₀ or close it in orbital coordinates (_t_path).  Over ℚ
+    is T.  The closure holds each element of T by its values at the least
+    pairs of the orbitals of G_ω, which it is constant on since T ⊆ T̃.
+    This is the group-less entry point: its context is that of the trivial
+    group, whose orbitals are single pairs, so T is closed on matrix
+    entries; analyze_vertex, which holds G_ω, closes it on G_ω's orbitals or
+    pins it by T₀ when T₀ already fills T̃ (_t0_t).  Over ℚ
     alone when `rational`, else over GF(p) for each of `primes`, which must
     agree (PrimeDisagreement); the closure self-test runs over the first
     field.  T₀ is cross-validated against the closed-form intersection
@@ -292,16 +199,31 @@ def t0_t_report(
 
 def _t0_t(orb: PairOrbitals, primes, rational):
     """t0_t_report's two results at the context's vertex, and the path T
-    took (_t_path)."""
+    took: "sandwich" when every orbital is a sandwich, so that dim T₀ is the
+    number k of orbitals and T₀ ⊆ T ⊆ T̃ pins T = T₀, else "closure", on the
+    orbitals' coordinates."""
     fields = (None,) if rational else tuple(primes)
-    path = _t_path(orb)
-    if path == "sandwich":  # T₀ = T = T̃ over every field
-        results = [(orb.blocks, orb.blocks)]
-    elif path == "orbital":
-        ops = _orbital_operators(orb)
-        results = [_orbital_closure(orb, ops, p, idx == 0) for idx, p in enumerate(fields)]
+    present = {pair: np.unique(orb.kinds(pair)) for pair in _PAIRS}  # the nonzero sandwiches
+    if sum(map(len, present.values())) == orb.blocks.sum():
+        path, results = "sandwich", [(orb.blocks, orb.blocks)]  # over every field
     else:
-        results = [_dense_closure(orb, p, idx == 0) for idx, p in enumerate(fields)]
+        rel = orb.relation
+        gens = [
+            ((i, l), rel[orb.cells[i], orb.cells[l]] == j)
+            for (i, l), kinds in present.items()
+            for j in kinds
+            if j
+        ]
+        labels = {pair: orb.block(pair) for pair in _PAIRS}
+
+        def closure(p, selftest):  # one field's space is freed before the next
+            space, mats, seeded = algebra_closure(gens, orb.sizes, p, labels=labels)
+            if selftest:
+                closure_product_selftest(space, mats, p)
+            return seeded, space.blocks()
+
+        path = "closure"
+        results = [closure(p, idx == 0) for idx, p in enumerate(fields)]
     for label, per_field in zip(("T0", "T"), zip(*results)):
         dims = {int(blocks.sum()) for blocks in per_field}
         if len(dims) != 1:
@@ -395,9 +317,9 @@ class AlgebraReport:
     verdicts: dict
     aut_order: int
     flags: list[str] = field(default_factory=list)
-    # how the report was computed, outside the JSON: "t_path" is "sandwich",
-    # "orbital" or "dense" (see _t_path) and "orbitals" the number k of
-    # G_ω-orbitals on pairs
+    # how the report was computed, outside the JSON: "t_path" is "sandwich"
+    # or "closure" (see _t0_t) and "orbitals" the number k of G_ω-orbitals
+    # on pairs
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):

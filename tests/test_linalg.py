@@ -15,8 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 import srgta
 from srgta import linalg
 from srgta.linalg import (
+    BlockBasis,
     ClosureBudgetExceeded,
     DimMismatch,
+    NotConstantOnClasses,
     SubspaceBasis,
     algebra_closure,
     closure_product_selftest,
@@ -304,6 +306,88 @@ def test_closure_matches_naive_two_sided_closure(p, data):
         seeds = [b for pair, b in gens if pair == (i, l)] + [np.eye(sizes[i])] * (i == l)
         part = Echelon(p)
         assert seeded[i, l] == sum(part.insert(b.reshape(-1)) for b in seeds)
+
+
+def _orbital_labels(perms, n):
+    """The orbitals on ordered pairs of the group the permutations generate,
+    numbered in an n×n array, by a walk from every pair."""
+    labels = np.full((n, n), -1)
+    count = 0
+    for pair in product(range(n), repeat=2):
+        if labels[pair] >= 0:
+            continue
+        labels[pair] = count
+        frontier = [pair]
+        while frontier:
+            x, y = frontier.pop()
+            for s in perms:
+                if labels[s[x], s[y]] < 0:
+                    labels[s[x], s[y]] = count
+                    frontier.append((s[x], s[y]))
+        count += 1
+    return labels
+
+
+@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("p", [97, 1048573, None])
+@given(data=st.data())
+def test_closure_on_group_orbitals_matches_naive_closure(p, data):
+    # H is generated by random permutations that keep each cell of a random
+    # partition, and the generators are 0/1 and constant on H's orbitals, so
+    # the whole closure commutes with H and is held by its orbital values
+    n = data.draw(st.integers(2, 6))
+    c = data.draw(st.integers(1, min(3, n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=c - 1, max_size=c - 1)))
+    order = data.draw(st.permutations(range(n)))
+    cells = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    sizes = [len(cell) for cell in cells]
+    perms = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        s = list(range(n))
+        for cell in cells:
+            for x, y in zip(cell, data.draw(st.permutations(cell))):
+                s[x] = y
+        perms.append(s)
+    orbitals = _orbital_labels(perms, n)
+    labels = {}
+    for i, l in product(range(c), repeat=2):  # renumbered in the order of first entries
+        _, first, inverse = np.unique(orbitals[np.ix_(cells[i], cells[l])], return_index=True,
+                                      return_inverse=True)
+        labels[i, l] = np.argsort(np.argsort(first))[inverse].reshape(sizes[i], sizes[l])
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, l = data.draw(st.tuples(st.integers(0, c - 1), st.integers(0, c - 1)))
+        chosen = data.draw(st.sets(st.sampled_from(sorted(set(labels[i, l].ravel().tolist())))))
+        gens.append(((i, l), np.isin(labels[i, l], list(chosen)).astype(np.int64)))
+
+    def assemble(pair, block):
+        m = np.zeros((n, n), dtype=np.int64)
+        m[np.ix_(cells[pair[0]], cells[pair[1]])] = block
+        return m
+
+    masks = [assemble((i, i), np.eye(size, dtype=np.int64)) for i, size in enumerate(sizes)]
+    want = reference_closure([assemble(*g) for g in gens] + masks, n, p)
+    space, _, _ = algebra_closure(gens, sizes, p, cap=n * n, labels=labels)
+    for (i, l), basis in space.bases.items():
+        part = Echelon(p)
+        cut = [m[np.ix_(cells[i], cells[l])] for m in want]
+        assert basis.dim == sum(part.insert(b.reshape(-1)) for b in cut)
+        for b in cut:
+            assert space.contains((i, l), space.coordinates((i, l), b))
+
+
+def test_closure_rejects_coordinates_a_generator_is_not_constant_on():
+    # the classes {(0,0), (1,1)} and {(0,1), (1,0)} hold I but merge the two
+    # off-diagonal entries that the shift tells apart
+    labels = {(0, 0): np.array([[0, 1], [1, 0]])}
+    with pytest.raises(NotConstantOnClasses):
+        algebra_closure(one_cell(shift_matrix(2)), [2], 97, labels=labels)
+
+
+def test_block_basis_rejects_labels_not_numbered_by_first_entries():
+    for labels in ([[1, 0], [0, 1]], [[0, 2], [2, 0]], [[0, -1], [-1, 0]]):
+        with pytest.raises(ValueError, match="not numbered by first entries"):
+            BlockBasis(97, (2,), {(0, 0): np.array(labels)})
 
 
 def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):

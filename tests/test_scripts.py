@@ -1,10 +1,9 @@
-"""The scripts: the independent oracle, run as its own process, the bench
-recorder's parsing and the T-path crossover timer."""
+"""The scripts: the independent oracle, run as its own process, and the
+bench recorder's parsing."""
 
 import importlib.util
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,20 +57,3 @@ def test_bench_record_parses_a_run_summary():
         parse(stdout.replace('"metrics"', '"other"'))
     with pytest.raises(ValueError):
         parse("pass_s 0.5 s")
-
-
-def test_t_path_crossover_runs_on_paley13():
-    # one line per subgroup of G_0 of order 1, 2, 3, 6: k falls from n² to
-    # the full group's 29 orbitals and the path turns orbital at ratio ≤ 1
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "t_path_crossover.py"), "13", "--repeats", "1"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [re.search(r"\|H\|=(\d+) k=(\d+)", line).groups() for line in lines] == [
-        ("1", "169"), ("2", "85"), ("3", "57"), ("6", "29")
-    ]
-    assert [re.search(r"path=(\w+)", line).group(1) for line in lines] == [
-        "dense", "dense", "orbital", "orbital"
-    ]

@@ -16,7 +16,8 @@ from srgta.autgrp import automorphism_group
 from srgta.classifier import intersection_numbers
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import ImprimitiveParams, require_srg, vertex_partition
-from srgta.exactmath import DEFAULT_PRIMES, SizeGuardExceeded
+from srgta.exactmath import DEFAULT_PRIMES, SizeGuardExceeded, gf_construct
+from srgta.linalg import algebra_closure, closure_product_selftest
 from srgta.permgroup import based_at, point_stabilizer, schreier_sims
 from srgta import terwilliger
 from srgta.terwilliger import (
@@ -222,7 +223,7 @@ def test_inconclusive_sentinel_is_falsy():
     assert Inconclusive != 15
 
 
-# -- orbital coordinates against the dense closure ------------------------------
+# -- orbital coordinates against the group-less closure ------------------------
 
 FIELDS = [{}, {"primes": (65521, 65519)}, {"primes": (2147483659,)}, {"rational": True}]
 
@@ -248,23 +249,32 @@ def _orbital_blocks_by_brute_force(g, group):
 
 
 def _differential(g, fields):
-    """T₀, T and T̃ from the pair labelling equal the dense closure and a
-    brute-force orbital count; the orbital closure is run whatever _t_path
-    picks.  Returns the path the verdict pipeline takes."""
+    """T₀, T and T̃ from the pair labelling of G_ω equal group-less
+    t0_t_report, whose closure runs on matrix entries, and a brute-force
+    orbital count; the closure on G_ω's orbitals is run whatever path _t0_t
+    takes.  Returns that path."""
     group = based_at(automorphism_group(g).group, 0)
     orb = pair_orbitals(g, group, 0)
     assert np.array_equal(orb.blocks, _orbital_blocks_by_brute_force(g, group))
     assert np.array_equal(t_tilde_report(orb)[1], orb.blocks)
-    ops = terwilliger._orbital_operators(orb)
+    gens = [((i, l), orb.relation[orb.cells[i], orb.cells[l]] == j)
+            for i, l in product(range(3), repeat=2) for j in (1, 2)]
+    labels = {pair: orb.block(pair) for pair in product(range(3), repeat=2)}
     for kwargs in fields:
         dense = t0_t_report(g, **kwargs)
         primes, rational = kwargs.get("primes", DEFAULT_PRIMES), kwargs.get("rational", False)
-        t0, t, _ = terwilliger._t0_t(orb, primes, rational)
+        t0, t, path = terwilliger._t0_t(orb, primes, rational)
         assert [(d, b.tolist()) for d, b in (t0, t)] == [(d, b.tolist()) for d, b in dense]
         for p in (None,) if rational else primes:
-            seeded, closed = terwilliger._orbital_closure(orb, ops, p, True)
-            assert np.array_equal(seeded, dense[0][1]) and np.array_equal(closed, dense[1][1])
-    return terwilliger._t_path(orb)
+            space, mats, seeded = algebra_closure(gens, orb.sizes, p, labels=labels)
+            closure_product_selftest(space, mats, p)
+            assert np.array_equal(seeded, dense[0][1])
+            assert np.array_equal(space.blocks(), dense[1][1])
+    return path
+
+
+# how T is reached: pinned by the sandwiches, or closed on G_ω's orbitals
+CLOSED_ON = {"sandwich": "sandwich", "orbital": "closure"}
 
 
 @pytest.mark.parametrize(
@@ -286,26 +296,51 @@ def _differential(g, fields):
 def test_orbital_path_matches_dense_closure(tag, params, path):
     # the sandwich cases are the triply transitive graphs, where T₀ = T̃
     g = construct(FamilySpec(tag, params))
-    assert _differential(g, FIELDS if g.n <= 17 else FIELDS[:2]) == path
+    assert _differential(g, FIELDS if g.n <= 17 else FIELDS[:2]) == CLOSED_ON[path]
 
 
 def test_orbital_path_matches_dense_closure_on_a_small_group():
     g = latin_square_graph(SMALL_GROUP_SQUARE, range(25))
-    assert _differential(g, FIELDS) == "orbital"
+    assert _differential(g, FIELDS) == "closure"
+
+
+@pytest.mark.parametrize("q", [13, 17])
+def test_closure_under_every_subgroup_of_g0_matches_the_groupless_one(q):
+    # H = {x ↦ a·x : a^d = 1} for each d dividing (q − 1)/2, the trivial
+    # group included.  H is free on the nonzero points, so its orbitals
+    # number 1 + 2(q − 1)/d + (q − 1)²/d: 169, 85, 57, 29 at q = 13
+    g = construct(FamilySpec("paley", (q,)))
+    root = gf_construct(q).primitive_element()
+    half = (q - 1) // 2
+    orders = [d for d in range(1, half + 1) if half % d == 0]
+    want = {rational: t0_t_report(g, rational=rational) for rational in (False, True)}
+    ks = []
+    for d in orders:
+        a = pow(root, (q - 1) // d, q)
+        group = schreier_sims([tuple(a * x % q for x in range(q))], base_prefix=(0,), n=q)
+        orb = pair_orbitals(g, group, 0)
+        ks.append(int(orb.blocks.sum()))
+        for rational, dense in want.items():
+            t0, t, path = terwilliger._t0_t(orb, DEFAULT_PRIMES, rational)
+            assert path == "closure"
+            assert [(k, b.tolist()) for k, b in (t0, t)] == [(k, b.tolist()) for k, b in dense]
+    assert ks == [1 + 2 * (q - 1) // d + (q - 1) ** 2 // d for d in orders]
+    if q == 13:
+        assert ks == [169, 85, 57, 29]
 
 
 def test_report_stats_name_the_t_path(petersen, clebsch, paley13):
-    for g, path, k in ((clebsch, "sandwich", 14), (paley13, "orbital", 29)):
+    for g, path, k in ((clebsch, "sandwich", 14), (paley13, "closure", 29)):
         report = full_report(g)
         assert report.stats == {"t_path": path, "orbitals": k}
         assert "stats" not in json.loads(report.to_json())
     trivial = analyze_vertex(petersen, schreier_sims([], n=10), 0)
-    assert trivial.stats == {"t_path": "dense", "orbitals": 100}
+    assert trivial.stats == {"t_path": "closure", "orbitals": 100}
 
 
 def test_analyze_vertex_builds_the_context_once(petersen, monkeypatch):
-    # the trivial group takes the dense path, which cuts its generators out
-    # of the context's relations rather than out of a second partition
+    # the trivial group's closure cuts its generators out of the context's
+    # relations rather than out of a second partition
     calls = []
 
     def counted(name, real):
