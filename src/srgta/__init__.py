@@ -34,7 +34,6 @@ from .linalg import SubspaceBasis, algebra_closure
 from .permgroup import GroupBSGS, schreier_sims, transitivity_rank
 from .terwilliger import (
     AlgebraReport,
-    Inconclusive,
     PairOrbitals,
     analyze_vertex,
     pair_orbitals,
@@ -50,7 +49,6 @@ __all__ = [
     "FamilySpec",
     "Graph",
     "GroupBSGS",
-    "Inconclusive",
     "KreinReport",
     "PairOrbitals",
     "ParamForm",

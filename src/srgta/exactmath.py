@@ -2,8 +2,7 @@
 
 Everything downstream that decides a verdict (eigenvalues, Krein signs,
 span dimensions) routes through this module so that no floating point is
-involved in a decision.  Floats appear only in the advisory spectral
-cross-check, which lives elsewhere.
+involved in a decision.
 """
 
 from __future__ import annotations

@@ -209,12 +209,13 @@ def common_neighbour_counts(g: Graph) -> tuple[set[int], set[int]]:
 def is_strongly_regular(g: Graph):
     """SrgParams if g is strongly regular, else a falsy NotSrg witness.
 
-    Complete and empty graphs are rejected: the decompositions downstream
-    need all three of {base vertex} / neighbours / non-neighbours nonempty.
+    Graphs on fewer than 2 vertices, complete and empty graphs are rejected:
+    the decompositions downstream need {base vertex} / neighbours /
+    non-neighbours all nonempty.
     """
     n = g.n
     if n < 2:
-        raise ValueError("need at least 2 vertices")
+        return NotSrg("fewer than 2 vertices")
     deg = g.degrees()
     k = int(deg[0])
     if not np.all(deg == k):

@@ -14,8 +14,8 @@ and the fixed point of one block-by-block closure per field (t0_t_report),
 T̃ by counting stabilizer orbitals on pairs.  Since T ⊆ T̃, the closure
 runs on those orbitals' coordinates (Bannai & Munemasa, Kyushu J. Math. 49,
 1995), the matrix entries for a trivial group, and is skipped when T₀
-already fills T̃.  A floating-point cross-check of dim T from subconstituent
-spectra is provided as an advisory, never a verdict source.
+already fills T̃.  dim T is also counted exactly from the spectra of the
+subconstituents (t_dim_spectral_crosscheck), independently of the closure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .exactmath import DEFAULT_PRIMES, check_guard, srg_eigenvalues
+from .exactmath import DEFAULT_PRIMES, check_guard
 from .graphcore import (
     Graph,
     ImprimitiveParams,
@@ -39,8 +39,10 @@ from .graphcore import (
 )
 from .linalg import (
     PrimeDisagreement,
+    SubspaceBasis,
     algebra_closure,
     closure_product_selftest,
+    matmul_mod,
 )
 from .permgroup import (
     GroupBSGS,
@@ -66,19 +68,6 @@ class InternalDisagreement(RuntimeError):
 
 class CellNotInvariant(ValueError):
     """A group meant to fix ω moves a pair across cells or relations."""
-
-
-class _Inconclusive:
-    """Sentinel for a spectral cross-check with ambiguous clustering."""
-
-    def __repr__(self):
-        return "Inconclusive"
-
-    def __bool__(self):
-        return False
-
-
-Inconclusive = _Inconclusive()
 
 
 _PAIRS = tuple(product(range(3), repeat=2))
@@ -264,46 +253,57 @@ def t_tilde_report(orb: PairOrbitals) -> tuple[int, np.ndarray]:
     return total, blocks
 
 
-def t_dim_spectral_crosscheck(g: Graph, omega: int = 0):
-    """Advisory dim T from subconstituent spectra, or Inconclusive.
+def _spectral_blocks(g: Graph, omega: int = 0) -> np.ndarray:
+    """T's 3×3 block dimensions at ω, counted from the subconstituents'
+    spectra over each of DEFAULT_PRIMES.
 
-    Counts, for each subconstituent, its distinct eigenvalues on the space
-    orthogonal to all-ones (one copy of the valency drops out), split by
-    membership in {θ, τ}; the result is m₁+m₂+4n₁+9.  Floating point with
-    1e-8 clustering; any inter-cluster gap under 1e-6 is Inconclusive.
+    Let B, of valency v (λ on Γ₁(ω), k − μ on Γ₂(ω)), be the adjacency of
+    Γᵢ(ω), mᵢ the number of its distinct eigenvalues off the all-ones vector
+    that lie in {θ, τ} and nᵢ that of the others.  For primitive parameters
+    n₁ = n₂ = n and the blocks are [[1, 1, 1], [1, 1+n+m₁, 1+n],
+    [1, 1+n, 1+n+m₂]]: past the primary module, T's irreducible modules are,
+    up to isomorphism, one 2-dimensional per eigenvalue counted by n and one
+    1-dimensional per eigenvalue counted by m₁ or m₂ (Cameron, Goethals &
+    Seidel, J. Algebra 55, 1978; Tomiyama & Yamazaki, Kyushu J. Math. 48,
+    1994).  𝒜 = ⟨I, B, J⟩ has a dimension per eigenvalue off all-ones and
+    one for all-ones.  C = B² − (λ−μ)B + (μ−k)I = (B − θI)(B − τI) is
+    integral even where θ, τ are not, and 𝒜C keeps the eigenvalues outside
+    {θ, τ}, all-ones' v among them unless v ∈ {θ, τ} (as on grids, where
+    θ = λ).  So m = dim 𝒜 − dim 𝒜C − [v ∈ {θ, τ}] and n = dim 𝒜 − 1 − m.
+    Raises ImprimitiveParams, InternalDisagreement if n₁ ≠ n₂ and
+    PrimeDisagreement if the fields disagree.
     """
     params = require_srg(g)
     if not is_primitive(params):
-        raise ImprimitiveParams("spectral cross-check needs primitive parameters")
-    theta, tau = srg_eigenvalues(*params.astuple())
-    special = (float(theta), float(tau))
-    g1, g2, _ = subconstituents(g, omega)
-    valencies = (params.lam, params.k - params.mu)
-    m_counts, n_counts = [], []
-    for sub, valency in zip((g1, g2), valencies):
-        evs = np.linalg.eigvalsh(sub.adjacency_dense().astype(np.float64))
-        clusters: list[list[float]] = []
-        for e in np.sort(evs):
-            if clusters and e - clusters[-1][-1] < 1e-8:
-                clusters[-1].append(float(e))
-            else:
-                clusters.append([float(e)])
-        reps = [float(np.mean(c)) for c in clusters]
-        mults = [len(c) for c in clusters]
-        for a, b in zip(reps, reps[1:]):
-            if b - a < 1e-6:
-                return Inconclusive
-        vi = min(range(len(reps)), key=lambda i: abs(reps[i] - valency))
-        if abs(reps[vi] - valency) > 1e-8:
-            return Inconclusive
-        mults[vi] -= 1
-        live = [r for r, c in zip(reps, mults) if c > 0]
-        m = sum(any(abs(r - s) <= 1e-8 for s in special) for r in live)
-        m_counts.append(m)
-        n_counts.append(len(live) - m)
-    if n_counts[0] != n_counts[1]:
-        return Inconclusive
-    return m_counts[0] + m_counts[1] + 4 * n_counts[0] + 9
+        raise ImprimitiveParams("spectral count needs primitive parameters")
+    _, k, lam, mu = params.astuple()
+    subs = zip(subconstituents(g, omega)[:2], (lam, k - mu))
+    subs = [(sub.adjacency_dense().astype(np.int64), v) for sub, v in subs]
+    per_field = []
+    for p in DEFAULT_PRIMES:
+        counts = []
+        for b, v in subs:
+            s = len(b)
+            space, mats, _ = algebra_closure([((0, 0), b), ((0, 0), np.ones_like(b))], [s], p)
+            c = (b @ b - (lam - mu) * b + (mu - k) * np.eye(s, dtype=np.int64)) % p
+            ideal = SubspaceBasis(p, s * s)
+            for pair, x in mats:
+                ideal.insert(matmul_mod(space.dense(pair, x), c, p).reshape(-1))
+            m = space.dim - ideal.dim - int((v * v - (lam - mu) * v + mu - k) % p == 0)
+            counts.append((m, space.dim - 1 - m))
+        (m1, n1), (m2, n2) = counts
+        if n1 != n2:
+            raise InternalDisagreement(f"GF({p}): Γ₁ has {n1} eigenvalues off {{θ, τ}}, Γ₂ {n2}")
+        per_field.append(1 + np.array([[0, 0, 0], [0, n1 + m1, n1], [0, n1, n1 + m2]]))
+    if any(not np.array_equal(per_field[0], other) for other in per_field[1:]):
+        raise PrimeDisagreement("spectral block dimensions differ across primes")
+    return per_field[0]
+
+
+def t_dim_spectral_crosscheck(g: Graph, omega: int = 0) -> int:
+    """dim T at ω, m₁ + m₂ + 4n + 9, counted exactly from the subconstituent
+    spectra (_spectral_blocks), independently of the closure."""
+    return int(_spectral_blocks(g, omega).sum())
 
 
 @dataclass

@@ -123,12 +123,16 @@ def test_analyze_prime_flag_at_psi_13_is_a_usage_error(capsys, petersen_file):
     assert "proven exact only below" in err
 
 
-def test_analyze_rejects_non_srg_input(tmp_path, capsys):
-    path = tmp_path / "path.srg"
-    path.write_text("3 2\n0 1\n1 2\n")
-    code, _, err = run(capsys, "analyze", str(path))
+@pytest.mark.parametrize("command", ["analyze", "check-triple"])
+@pytest.mark.parametrize("text", ["3 2\n0 1\n1 2\n", "0 0\n", "1 0\n"],
+                         ids=["path", "no-vertex", "one-vertex"])
+def test_analyze_rejects_non_srg_input(tmp_path, capsys, command, text):
+    path = tmp_path / "g.srg"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_analyze_missing_file(capsys):

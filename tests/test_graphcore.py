@@ -93,6 +93,8 @@ def test_complete_and_empty_rejected():
     assert is_strongly_regular(k4).reason == "complete graph"
     empty = Graph.from_edges(4, [])
     assert is_strongly_regular(empty).reason == "empty graph"
+    for n in (0, 1):
+        assert is_strongly_regular(Graph.from_edges(n, [])).reason == "fewer than 2 vertices"
 
 
 def test_disjoint_cliques_accepted_with_mu_zero():

@@ -10,20 +10,19 @@ from itertools import product
 
 import numpy as np
 import pytest
-from test_autgrp import SMALL_GROUP_SQUARE, latin_square_graph
+from test_autgrp import ORDER_SIX_SQUARE, RIGID_SQUARE, SMALL_GROUP_SQUARE, latin_square_graph
 
 from srgta.autgrp import automorphism_group
 from srgta.classifier import intersection_numbers
 from srgta.families import FamilySpec, construct
-from srgta.graphcore import ImprimitiveParams, require_srg, vertex_partition
+from srgta.graphcore import ImprimitiveParams, complement, require_srg, vertex_partition
 from srgta.exactmath import DEFAULT_PRIMES, SizeGuardExceeded, gf_construct
-from srgta.linalg import algebra_closure, closure_product_selftest
+from srgta.linalg import PrimeDisagreement, algebra_closure, closure_product_selftest
 from srgta.permgroup import based_at, point_stabilizer, schreier_sims
 from srgta import terwilliger
 from srgta.terwilliger import (
     AlgebraReport,
     CellNotInvariant,
-    Inconclusive,
     InternalDisagreement,
     analyze_vertex,
     OracleMismatch,
@@ -217,10 +216,59 @@ def test_spectral_crosscheck_values(petersen, grid3, paley13, clebsch, k33):
         t_dim_spectral_crosscheck(k33)
 
 
-def test_inconclusive_sentinel_is_falsy():
-    assert not Inconclusive
-    assert repr(Inconclusive) == "Inconclusive"
-    assert Inconclusive != 15
+# the square of `python3 perfbench/latin.py --order 8 --seed 1`
+ORDER_EIGHT_SQUARE = [
+    [3, 4, 5, 7, 0, 6, 1, 2],
+    [1, 2, 3, 0, 4, 5, 7, 6],
+    [6, 1, 0, 5, 2, 7, 3, 4],
+    [7, 5, 1, 3, 6, 4, 2, 0],
+    [4, 3, 6, 1, 7, 2, 0, 5],
+    [0, 6, 2, 4, 1, 3, 5, 7],
+    [2, 0, 7, 6, 5, 1, 4, 3],
+    [5, 7, 4, 2, 3, 0, 6, 1],
+]
+
+SPECTRAL_FAMILIES = [
+    ("paley", (5,)), ("paley", (13,)), ("paley", (17,)), ("paley", (29,)),  # θ, τ irrational
+    ("grid", (3,)), ("grid", (4,)), ("grid", (5,)),  # v = θ on Γ₁
+    ("johnson", (6,)), ("peisert", (7, 1)), ("vo", (-1, 3, 2)), ("vo", (1, 3, 2)),
+    ("grassmann", (2, 4)),
+]
+
+
+@pytest.mark.parametrize("complemented", [False, True], ids=["graph", "complement"])
+@pytest.mark.parametrize("family, args", SPECTRAL_FAMILIES,
+                         ids=[f"{f}{a}" for f, a in SPECTRAL_FAMILIES])
+def test_spectral_blocks_match_the_closure(family, args, complemented):
+    g = construct(FamilySpec(family, args))
+    g = complement(g) if complemented else g
+    assert terwilliger._spectral_blocks(g).tolist() == t0_t_report(g)[1][1].tolist()
+
+
+@pytest.mark.parametrize(
+    "square",
+    [SMALL_GROUP_SQUARE, ORDER_SIX_SQUARE, RIGID_SQUARE, ORDER_EIGHT_SQUARE],
+    ids=["order5", "order6", "order7", "order8"],
+)
+def test_spectral_blocks_match_the_closure_on_latin_square_graphs(square):
+    g = latin_square_graph(square, range(len(square) ** 2))
+    assert terwilliger._spectral_blocks(g).tolist() == t0_t_report(g)[1][1].tolist()
+
+
+def test_spectral_count_raises_when_the_subconstituents_disagree(monkeypatch, petersen):
+    # over GF(2) τ = −2 is 0, the eigenvalue off all-ones of Petersen's Γ₁
+    # (three isolated vertices), so n₁ drops to 0 while n₂ stays 1
+    monkeypatch.setattr(terwilliger, "DEFAULT_PRIMES", (DEFAULT_PRIMES[0], 2))
+    with pytest.raises(InternalDisagreement):
+        t_dim_spectral_crosscheck(petersen)
+
+
+def test_spectral_count_raises_when_the_fields_disagree(monkeypatch):
+    # over GF(2) n₁ = n₂ = 3 on Paley(17), against 4 over the first prime
+    g = construct(FamilySpec("paley", (17,)))
+    monkeypatch.setattr(terwilliger, "DEFAULT_PRIMES", (DEFAULT_PRIMES[0], 2))
+    with pytest.raises(PrimeDisagreement):
+        t_dim_spectral_crosscheck(g)
 
 
 # -- orbital coordinates against the group-less closure ------------------------
