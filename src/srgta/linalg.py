@@ -93,13 +93,26 @@ class SubspaceBasis:
         return np.asarray(v, dtype=np.int64) % self.p
 
     def _reduce(self, v: np.ndarray) -> np.ndarray:
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
+        """v minus its part in the span.  The rows are reduced at each
+        other's pivots, so each row's coefficient is v's entry at its pivot,
+        read before any subtraction; mod p, the subtractions are reduced
+        once at the end wherever the unreduced sum cannot overflow int64."""
+        if not self.rows:
+            return v
+        p, lazy = self.p, self._lazy()
+        for row, c in zip(self.rows, v[self.pivots]):
             if c:
                 v = v - c * row
-                if self.p is not None:
-                    v %= self.p
-        return v
+                if p is not None and not lazy:
+                    v %= p
+        return v % p if lazy else v
+
+    def _lazy(self) -> bool:
+        """Whether a reduction mod p may leave its reductions to the end:
+        Python integers never overflow, and int64 entries do not while the
+        dim subtracted products, each below p², sum below 2⁶²."""
+        p = self.p
+        return p is not None and (_exact(p) or len(self.rows) * (p - 1) ** 2 < 2**62)
 
     def insert(self, v) -> bool:
         """Add v to the span; True iff the dimension grew."""
@@ -128,6 +141,22 @@ class SubspaceBasis:
     def contains(self, v) -> bool:
         return not np.any(self._reduce(self._as_field(v)))
 
+    def outside(self, vs) -> np.ndarray:
+        """Whether each of the vectors vs lies outside the span, by one
+        residual for all of them: with V the vectors as rows and R the basis
+        rows, V − V[:, pivots]·R is zero in exactly the rows of V in the span,
+        since R is reduced at its pivots.  The product is summed row of R by
+        row of R into V, reduced as _reduce does, so no copy of R is made."""
+        vs = np.array([self._as_field(v) for v in vs])
+        p, lazy = self.p, self._lazy()
+        for row, c in zip(self.rows, vs[:, self.pivots].T):
+            vs -= c[:, None] * row
+            if p is not None and not lazy:
+                vs %= p
+        if lazy:
+            vs %= p
+        return np.any(vs != 0, axis=1)
+
 
 class BlockBasis:
     """Echelon bases of a space of block-pure matrices, one per cell pair.
@@ -141,10 +170,13 @@ class BlockBasis:
     coordinates are the block's entries.  A space spanned by block-pure
     matrices is the direct sum of its per-pair parts, so its block
     dimensions are the dims of the per-pair bases and its dim is their sum.
+    `counts` holds algebra_closure's work on the space: the stacked products
+    it formed and the inserts it tried.
     """
 
     def __init__(self, p: int | None, sizes, labels=None):
         self.sizes = tuple(sizes)
+        self.counts = {"products": 0, "inserts": 0}
         self.labels, self.firsts, self.bases = {}, {}, {}
         for i, l in product(range(len(self.sizes)), repeat=2):
             shape = (self.sizes[i], self.sizes[l])
@@ -254,10 +286,14 @@ def algebra_closure(
     p: int | None = DEFAULT_PRIMES[0],
     cap: int | None = None,
     labels=None,
+    seeds=(),
 ) -> tuple[BlockBasis, list, np.ndarray]:
-    """Smallest product-closed space holding the cell identities E*ᵢ and gens,
-    block-pure matrices given as ((i, l), block) over cells of the given sizes.
-    With one cell this is the algebra generated by I and gens.
+    """Smallest space holding the cell identities E*ᵢ, gens and seeds and
+    closed under left multiplication by gens, all block-pure matrices given
+    as ((i, l), block) over cells of the given sizes.  Seeds are pushed but
+    never multiply; the caller vouches that each lies in the algebra the
+    E*ᵢ and gens generate, which the space then is.  With one cell and no
+    seeds this is the algebra generated by I and gens.
 
     The space is held on the coordinates of `labels` (BlockBasis), which
     the caller vouches every matrix of the closure is constant on: the
@@ -266,11 +302,13 @@ def algebra_closure(
     seed that is not constant on them raises NotConstantOnClasses; a product
     that is not is what closure_product_selftest catches.
 
-    A space holding these seeds and closed under x ↦ g·x for each g in gens
-    holds every word in them, so pushing g·x per spanning matrix x suffices;
-    g·x is zero unless g's column cell is x's row cell, and only those
-    products are formed (_left_operators).  The inserted matrices are walked
-    in insertion order, all g·x of one x by one product.
+    A space holding the E*ᵢ and closed under x ↦ g·x for each g in gens is
+    a left module over the algebra 𝒜 they generate and holds its identity,
+    so it holds 𝒜, and with the seeds in 𝒜 it is 𝒜.  So pushing g·x per
+    spanning matrix x suffices; g·x is zero unless g's column cell is x's
+    row cell, and only those products are formed (_left_operators).  The inserted matrices are walked in insertion order,
+    all g·x of one x by one product.  The space's `counts` record the
+    products formed and the inserts tried, seeds included.
 
     Returns the space, the spanning ((i, l), coordinates) pairs actually
     inserted (any product of two with matching inner cells lies in the span,
@@ -282,8 +320,12 @@ def algebra_closure(
         raise ValueError("need at least one generator")
     space = BlockBasis(p, sizes, labels)
     sizes = space.sizes
-    gens = [((i, l), _normalize(g, (sizes[i], sizes[l]), p)) for (i, l), g in gens]
-    gens = [(pair, g) for pair, g in gens if g.any()]
+
+    def nonzero(mats):
+        mats = [((i, l), _normalize(m, (sizes[i], sizes[l]), p)) for (i, l), m in mats]
+        return [(pair, m) for pair, m in mats if m.any()]
+
+    gens, seeds = nonzero(gens), nonzero(seeds)
     eyes = [((i, i), _normalize(np.eye(a, dtype=np.int64), (a, a), p)) for i, a in enumerate(sizes)]
     lefts = _left_operators(space, gens)
     n = sum(sizes)
@@ -291,6 +333,7 @@ def algebra_closure(
     mats: list = []
 
     def push(pair, x: np.ndarray) -> None:
+        space.counts["inserts"] += 1
         if space.insert(pair, x):
             mats.append((pair, x.copy()))  # a slice would keep its whole product alive
             if space.dim > budget:
@@ -298,7 +341,7 @@ def algebra_closure(
                     f"closure dimension exceeded {budget} on a {n}-vertex space"
                 )
 
-    for pair, m in eyes + gens:
+    for pair, m in eyes + gens + seeds:
         push(pair, space.coordinates(pair, m))
     seeded = space.blocks()
     for (k, l), x in mats:        # mats grows while it is walked
@@ -306,6 +349,7 @@ def algebra_closure(
             continue
         ops, gather, bounds = lefts[k, l]
         products = matmul_mod(ops, space.dense((k, l), x), p).reshape(-1)
+        space.counts["products"] += 1
         if gather is not None:
             products = products[gather]
         for i, start, stop in bounds:
@@ -317,13 +361,17 @@ def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> No
     """Membership of 50 random spanning-matrix products back in the span; the
     second factor is drawn among those whose row cell is the first's column
     cell, since other products are zero.  Each product is formed densely and
-    must be constant on the coordinate classes of its cell pair."""
+    must be constant on the coordinate classes of its cell pair; that is
+    checked for every draw first.  Membership is then one residual product
+    per cell pair (SubspaceBasis.outside), and a failure names the first
+    failing draw."""
     if not mats:
         return
     rows = {}
     for idx, ((k, _), _) in enumerate(mats):
         rows.setdefault(k, []).append(idx)
     rng = np.random.default_rng(0)
+    draws, per_pair = [], {}
     for _ in range(50):
         i = int(rng.integers(len(mats)))
         (a, k), x = mats[i]
@@ -336,7 +384,16 @@ def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> No
             raise ClosureSelfTestFailed(
                 f"product of spanning matrices {i} and {j}: {err}"
             ) from None
-        if not space.contains((a, l), coords):
-            raise ClosureSelfTestFailed(
-                f"product of spanning matrices {i} and {j} lies outside the span"
-            )
+        per_pair.setdefault((a, l), []).append((len(draws), coords))
+        draws.append((i, j))
+    failing = [
+        draw
+        for pair, drawn in per_pair.items()
+        for (draw, _), out in zip(drawn, space.bases[pair].outside([c for _, c in drawn]))
+        if out
+    ]
+    if failing:
+        i, j = draws[min(failing)]
+        raise ClosureSelfTestFailed(
+            f"product of spanning matrices {i} and {j} lies outside the span"
+        )

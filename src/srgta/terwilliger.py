@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .exactmath import DEFAULT_PRIMES, check_guard
+from .exactmath import DEFAULT_PRIMES, NotPrime, check_guard, is_prime
 from .graphcore import (
     Graph,
     ImprimitiveParams,
@@ -169,7 +169,8 @@ def t0_t_report(
     Each sandwich E*ᵢA_jE*ₖ is zero outside Δᵢ×Δₖ, and T splits as
     ⊕ E*ᵢTE*ₗ, so the closure runs block by block: its seeds are the nonzero
     sandwiches (those with j = 0 are the E*ᵢ), and it multiplies on the left
-    by those with j ∈ {1, 2}.  The span of the seeds is T₀, the fixed point
+    by those with j = 1, and by those with j = 2 only where μ ≡ 0 in the
+    field (_multipliers).  The span of the seeds is T₀, the fixed point
     is T.  The closure holds each element of T by its values at the least
     pairs of the orbitals of G_ω, which it is constant on since T ⊆ T̃.
     This is the group-less entry point: its context is that of the trivial
@@ -178,40 +179,75 @@ def t0_t_report(
     pins it by T₀ when T₀ already fills T̃ (_t0_t).  Over ℚ
     alone when `rational`, else over GF(p) for each of `primes`, which must
     agree (PrimeDisagreement); the closure self-test runs over the first
-    field.  T₀ is cross-validated against the closed-form intersection
-    numbers: its block (i, k) must have as many dimensions as there are
-    nonzero pᵢⱼᵏ over j (OracleMismatch).
+    field.  `primes` must be a nonempty tuple of primes (ValueError,
+    NotPrime) unless `rational`.  T₀ is cross-validated against the
+    closed-form intersection numbers: its block (i, k) must have as many
+    dimensions as there are nonzero pᵢⱼᵏ over j (OracleMismatch).
     """
     t0, t, _ = _t0_t(pair_orbitals(g, schreier_sims([], n=g.n), omega), primes, rational)
     return t0, t
 
 
+def _fields(primes, rational) -> tuple:
+    """The fields T is closed over: ℚ (None) alone when `rational`, else the
+    primes.  Each of the primes must be prime (NotPrime), and there must be
+    one at least unless `rational` (ValueError)."""
+    primes = tuple(primes)
+    for p in primes:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+    if rational:
+        return (None,)
+    if not primes:
+        raise ValueError("need at least one prime, or rational=True")
+    return primes
+
+
+def _multipliers(sandwiches, mu: int, p: int | None) -> tuple[list, list]:
+    """The closure's (multipliers, seeds that never multiply) over GF(p), or
+    ℚ for p None, from the nonzero sandwiches E*ᵢA_jE*ₖ by j ∈ {1, 2}.
+
+    Since μJ = A₁² − (λ−μ)A₁ − (k−μ)I and A₂ = J − I − A₁, A₁ and the E*ᵢ
+    generate T wherever μ is a unit (Terwilliger, J. Algebraic Combin. 1,
+    1992), so the sandwiches of A₂ only seed.  They multiply too where
+    μ ≡ 0: p | μ, or μ = 0 over ℚ (disjoint cliques)."""
+    mu_is_zero = mu == 0 if p is None else mu % p == 0
+    if mu_is_zero:
+        return sandwiches[1] + sandwiches[2], []
+    return sandwiches[1], sandwiches[2]
+
+
 def _t0_t(orb: PairOrbitals, primes, rational):
-    """t0_t_report's two results at the context's vertex, and the path T
-    took: "sandwich" when every orbital is a sandwich, so that dim T₀ is the
-    number k of orbitals and T₀ ⊆ T ⊆ T̃ pins T = T₀, else "closure", on the
-    orbitals' coordinates."""
-    fields = (None,) if rational else tuple(primes)
+    """t0_t_report's two results at the context's vertex, and its stats:
+    "t_path", the path T took, and "closure", when the closure runs, each
+    field's counters from algebra_closure (products, inserts, dim), keyed by
+    prime (None for ℚ).  The path is "sandwich" when every
+    orbital is a sandwich, so that dim T₀ is the number k of orbitals and
+    T₀ ⊆ T ⊆ T̃ pins T = T₀, else "closure", on the orbitals' coordinates:
+    seeded by every nonzero sandwich and closed under _multipliers."""
+    fields = _fields(primes, rational)
     present = {pair: np.unique(orb.kinds(pair)) for pair in _PAIRS}  # the nonzero sandwiches
     if sum(map(len, present.values())) == orb.blocks.sum():
-        path, results = "sandwich", [(orb.blocks, orb.blocks)]  # over every field
+        stats = {"t_path": "sandwich"}
+        results = [(orb.blocks, orb.blocks)]  # over every field
     else:
         rel = orb.relation
-        gens = [
-            ((i, l), rel[orb.cells[i], orb.cells[l]] == j)
-            for (i, l), kinds in present.items()
-            for j in kinds
-            if j
-        ]
+        sandwiches = {
+            j: [((i, l), rel[orb.cells[i], orb.cells[l]] == j)
+                for (i, l), kinds in present.items() if j in kinds]
+            for j in (1, 2)
+        }
         labels = {pair: orb.block(pair) for pair in _PAIRS}
+        stats = {"t_path": "closure", "closure": {}}
 
         def closure(p, selftest):  # one field's space is freed before the next
-            space, mats, seeded = algebra_closure(gens, orb.sizes, p, labels=labels)
+            gens, seeds = _multipliers(sandwiches, orb.params.mu, p)
+            space, mats, seeded = algebra_closure(gens, orb.sizes, p, labels=labels, seeds=seeds)
             if selftest:
                 closure_product_selftest(space, mats, p)
+            stats["closure"][p] = {**space.counts, "dim": space.dim}
             return seeded, space.blocks()
 
-        path = "closure"
         results = [closure(p, idx == 0) for idx, p in enumerate(fields)]
     for label, per_field in zip(("T0", "T"), zip(*results)):
         dims = {int(blocks.sum()) for blocks in per_field}
@@ -227,7 +263,7 @@ def _t0_t(orb: PairOrbitals, primes, rational):
             f"span dim {blocks0.sum()}, blocks {blocks0.tolist()} != nonzero "
             f"intersection-number count {expected.sum()}, blocks {expected.tolist()}"
         )
-    return (int(blocks0.sum()), blocks0), (int(blocks1.sum()), blocks1), path
+    return (int(blocks0.sum()), blocks0), (int(blocks1.sum()), blocks1), stats
 
 
 def t_tilde_report(orb: PairOrbitals) -> tuple[int, np.ndarray]:
@@ -318,7 +354,8 @@ class AlgebraReport:
     aut_order: int
     flags: list[str] = field(default_factory=list)
     # how the report was computed, outside the JSON: "t_path" is "sandwich"
-    # or "closure" (see _t0_t) and "orbitals" the number k of G_ω-orbitals
+    # or "closure", "closure" each field's closure counters (products,
+    # inserts, dim; see _t0_t) and "orbitals" the number k of G_ω-orbitals
     # on pairs
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -379,7 +416,7 @@ def analyze_vertex(
     """Assemble the three reports and verdicts for one base vertex; `group`
     is the automorphism group's stabilizer chain, on any base."""
     orbitals = pair_orbitals(g, group, omega)
-    (dim0, blocks0), (dim1, blocks1), path = _t0_t(orbitals, primes, rational)
+    (dim0, blocks0), (dim1, blocks1), t_stats = _t0_t(orbitals, primes, rational)
     dim2, blocks2 = t_tilde_report(orbitals)
     transitive, rank = transitivity_rank(orbitals.chain, g.n)
     rank3 = bool(transitive and rank == 3)
@@ -411,7 +448,7 @@ def analyze_vertex(
         },
         aut_order=orbitals.chain.order,
         flags=flags,
-        stats={"t_path": path, "orbitals": dim2},
+        stats={**t_stats, "orbitals": dim2},
     )
     if rank3:
         b = report.blocks["t_tilde"]

@@ -17,6 +17,7 @@ from srgta import linalg
 from srgta.linalg import (
     BlockBasis,
     ClosureBudgetExceeded,
+    ClosureSelfTestFailed,
     DimMismatch,
     NotConstantOnClasses,
     SubspaceBasis,
@@ -232,6 +233,22 @@ class Echelon:
         return True
 
 
+@pytest.mark.parametrize("p", [1073741789, 2147483647, 2147483659])
+def test_reduction_is_exact_where_its_sum_nears_int64(p):
+    # near 2³⁰, four rows' unreduced products pass 2⁶², so a reduction by
+    # more reduces each step; near 2³¹ every step is reduced, and past 2³¹
+    # entries are Python integers
+    rng = np.random.default_rng(7)
+    basis, naive = SubspaceBasis(p, 9), Echelon(p)
+    for v in rng.integers(0, p, size=(7, 9)).tolist() + [[p - 1] * 9]:
+        assert basis.insert(v) == naive.insert(v)
+    assert basis.pivots == sorted(naive.rows)
+    assert np.array_equal(np.array(basis.rows, dtype=object)[:, basis.pivots], np.eye(basis.dim, dtype=int))
+    assert all(0 <= x < p for row in basis.rows for x in row.tolist())
+    assert not any(naive.insert(row) for row in basis.rows)
+    assert all(basis.contains(row) for row in naive.rows.values())
+
+
 def reference_closure(gens, n, p):
     """Spanning matrices of the unital algebra generated by gens, the naive way.
 
@@ -409,3 +426,93 @@ def test_closure_products_grow_linearly_with_dim(monkeypatch, paley13):
     space, _, _ = algebra_closure(gens, orb.sizes, 1048573)
     assert space.dim == 21
     assert len(calls) <= 6 * space.dim
+
+
+def _per_draw_verdicts(space, mats, p):
+    """The self-test's 50 draws (i, j), each judged on its own as the
+    per-draw loop did: "constancy" for a product off its cell pair's
+    classes, "outside" for one outside the span (by `contains`), else "ok"."""
+    rows = {}
+    for idx, ((k, _), _) in enumerate(mats):
+        rows.setdefault(k, []).append(idx)
+    rng = np.random.default_rng(0)
+    verdicts = []
+    for _ in range(50):
+        i = int(rng.integers(len(mats)))
+        (a, k), x = mats[i]
+        j = rows[k][int(rng.integers(len(rows[k])))]
+        (_, l), y = mats[j]
+        dense = matmul_mod(space.dense((a, k), x), space.dense((k, l), y), p)
+        try:
+            coords = space.coordinates((a, l), dense)
+        except NotConstantOnClasses:
+            verdicts.append((i, j, "constancy"))
+            continue
+        verdicts.append((i, j, "ok" if space.contains((a, l), coords) else "outside"))
+    return verdicts
+
+
+def _drop_row(basis, at):
+    del basis.rows[at]
+    del basis.pivots[at]
+
+
+@pytest.mark.parametrize("p", [97, 1048573, 2147483659, None])
+def test_selftest_names_the_first_draw_outside_a_thinned_span(paley13, p):
+    # Paley(13)'s closure on its matrix entries over three cells, with a row
+    # taken out of blocks (1, 1) and (0, 2): the batched membership test must
+    # name the draw the per-draw loop stopped at, a (0, 2) product drawn
+    # after the first (1, 1) product and before the first failing one
+    orb = pair_orbitals(paley13, schreier_sims([], n=13), 0)
+    gens = [
+        ((i, l), orb.relation[orb.cells[i], orb.cells[l]] == j)
+        for i, l in product(range(3), repeat=2)
+        for j in (1, 2)
+    ]
+    space, mats, _ = algebra_closure(gens, orb.sizes, p)
+    closure_product_selftest(space, mats, p)
+    _drop_row(space.bases[1, 1], 1)
+    _drop_row(space.bases[0, 2], 0)
+    verdicts = _per_draw_verdicts(space, mats, p)
+    kinds = [kind for _, _, kind in verdicts]
+    first = kinds.index("outside")
+    assert "constancy" not in kinds and kinds[0] == "ok"
+    assert len({(i, j) for i, j, kind in verdicts if kind == "outside"}) > 1
+    i, j, _ = verdicts[first]
+    want = f"product of spanning matrices {i} and {j} lies outside the span"
+    with pytest.raises(ClosureSelfTestFailed, match=f"^{want}$"):
+        closure_product_selftest(space, mats, p)
+
+
+def test_selftest_reports_a_product_off_its_classes_before_one_outside_the_span():
+    # classes {(0,0), (1,1)}, {(0,1)} and {(1,0)} of one 2×2 cell hold E₀₁, I
+    # and E₁₀, but E₀₁E₁₀ = E₀₀ is not constant on them; with E₀₁'s row
+    # dropped, E₀₁·I also falls outside the span, at an earlier draw
+    labels = {(0, 0): np.array([[0, 1], [2, 0]])}
+    space = BlockBasis(97, (2,), labels)
+    mats = [((0, 0), np.array(x, dtype=np.int64)) for x in ([0, 1, 0], [1, 0, 0], [0, 0, 1])]
+    for pair, x in mats:
+        space.insert(pair, x)
+    basis = space.bases[0, 0]
+    _drop_row(basis, basis.pivots.index(1))
+    verdicts = _per_draw_verdicts(space, mats, 97)
+    kinds = [kind for _, _, kind in verdicts]
+    first = kinds.index("constancy")
+    assert "outside" in kinds[:first]
+    i, j, _ = verdicts[first]
+    with pytest.raises(ClosureSelfTestFailed, match=f"^product of spanning matrices {i} and {j}: "):
+        closure_product_selftest(space, mats, 97)
+
+
+@pytest.mark.parametrize("p", [97, 1048573, 2147483647, 2147483659, None])
+def test_outside_agrees_with_contains(p):
+    rng = np.random.default_rng(5)
+    basis = SubspaceBasis(p, 6)
+    for _ in range(3):
+        basis.insert(rng.integers(0, 5, size=6))
+    spanned = [sum(int(c) * row for c, row in zip(rng.integers(0, 5, size=3), basis.rows))
+               for _ in range(4)]
+    vs = [v if p is None else v % p for v in spanned] + list(rng.integers(0, 5, size=(4, 6)))
+    assert basis.outside(vs).tolist() == [not basis.contains(v) for v in vs]
+    assert not any(basis.outside(vs[:4]))
+    assert SubspaceBasis(p, 2).outside([[0, 0], [0, 1]]).tolist() == [False, True]

@@ -13,10 +13,10 @@ import pytest
 from test_autgrp import ORDER_SIX_SQUARE, RIGID_SQUARE, SMALL_GROUP_SQUARE, latin_square_graph
 
 from srgta.autgrp import automorphism_group
-from srgta.classifier import intersection_numbers
+from srgta.classifier import intersection_numbers, triple_transitivity_verdict
 from srgta.families import FamilySpec, construct
 from srgta.graphcore import ImprimitiveParams, complement, require_srg, vertex_partition
-from srgta.exactmath import DEFAULT_PRIMES, SizeGuardExceeded, gf_construct
+from srgta.exactmath import DEFAULT_PRIMES, NotPrime, SizeGuardExceeded, gf_construct
 from srgta.linalg import PrimeDisagreement, algebra_closure, closure_product_selftest
 from srgta.permgroup import based_at, point_stabilizer, schreier_sims
 from srgta import terwilliger
@@ -311,14 +311,14 @@ def _differential(g, fields):
     for kwargs in fields:
         dense = t0_t_report(g, **kwargs)
         primes, rational = kwargs.get("primes", DEFAULT_PRIMES), kwargs.get("rational", False)
-        t0, t, path = terwilliger._t0_t(orb, primes, rational)
+        t0, t, stats = terwilliger._t0_t(orb, primes, rational)
         assert [(d, b.tolist()) for d, b in (t0, t)] == [(d, b.tolist()) for d, b in dense]
         for p in (None,) if rational else primes:
             space, mats, seeded = algebra_closure(gens, orb.sizes, p, labels=labels)
             closure_product_selftest(space, mats, p)
             assert np.array_equal(seeded, dense[0][1])
             assert np.array_equal(space.blocks(), dense[1][1])
-    return path
+    return stats["t_path"]
 
 
 # how T is reached: pinned by the sandwiches, or closed on G_ω's orbitals
@@ -369,8 +369,8 @@ def test_closure_under_every_subgroup_of_g0_matches_the_groupless_one(q):
         orb = pair_orbitals(g, group, 0)
         ks.append(int(orb.blocks.sum()))
         for rational, dense in want.items():
-            t0, t, path = terwilliger._t0_t(orb, DEFAULT_PRIMES, rational)
-            assert path == "closure"
+            t0, t, stats = terwilliger._t0_t(orb, DEFAULT_PRIMES, rational)
+            assert stats["t_path"] == "closure"
             assert [(k, b.tolist()) for k, b in (t0, t)] == [(k, b.tolist()) for k, b in dense]
     assert ks == [1 + 2 * (q - 1) // d + (q - 1) ** 2 // d for d in orders]
     if q == 13:
@@ -378,11 +378,15 @@ def test_closure_under_every_subgroup_of_g0_matches_the_groupless_one(q):
 
 
 def test_report_stats_name_the_t_path(petersen, clebsch, paley13):
+    # a closure also leaves its counters per field, which the sandwich path lacks
     for g, path, k in ((clebsch, "sandwich", 14), (paley13, "closure", 29)):
         report = full_report(g)
+        counts = report.stats.pop("closure", None)
         assert report.stats == {"t_path": path, "orbitals": k}
+        assert (counts is None) == (path == "sandwich")
         assert "stats" not in json.loads(report.to_json())
     trivial = analyze_vertex(petersen, schreier_sims([], n=10), 0)
+    assert set(trivial.stats.pop("closure")) == set(DEFAULT_PRIMES)
     assert trivial.stats == {"t_path": "closure", "orbitals": 100}
 
 
@@ -423,3 +427,89 @@ def test_pair_orbitals_reject_a_group_that_moves_the_cells(petersen):
     swap[1], swap[7] = 7, 1
     with pytest.raises(CellNotInvariant):
         pair_orbitals(petersen, schreier_sims([tuple(swap)], base_prefix=(0,)), 0)
+
+
+@pytest.mark.parametrize("primes,error", [((), ValueError), ((4,), NotPrime), ((9,), NotPrime),
+                                          ((1048573, 15), NotPrime)])
+def test_fields_are_checked_before_any_closure(paley13, monkeypatch, primes, error):
+    def closure(*args, **kwargs):
+        raise AssertionError("a closure ran on fields that were not checked")
+
+    monkeypatch.setattr(terwilliger, "algebra_closure", closure)
+    group = automorphism_group(paley13).group
+    for run in (lambda: t0_t_report(paley13, primes=primes),
+                lambda: analyze_vertex(paley13, group, 0, primes=primes),
+                lambda: triple_transitivity_verdict(paley13, primes=primes)):
+        with pytest.raises(error):
+            run()
+
+
+def test_rational_needs_no_primes(paley13):
+    got, want = (t0_t_report(paley13, primes=primes, rational=True) for primes in ((), DEFAULT_PRIMES))
+    assert [(d, b.tolist()) for d, b in got] == [(d, b.tolist()) for d, b in want]
+
+
+def test_closure_counters_pin_inserts_to_three_per_dim():
+    # A₁'s sandwiches alone multiply, at most three of them per column cell,
+    # so every field tries at most 3·dim inserts past the dim T₀ seeds
+    report = full_report(construct(FamilySpec("paley", (61,))))
+    assert report.stats["t_path"] == "closure"
+    counts = report.stats["closure"]
+    assert set(counts) == set(DEFAULT_PRIMES)
+    for field in counts.values():
+        assert field["dim"] == report.dims["t"]
+        assert field["products"] <= field["dim"]
+        assert field["inserts"] <= 3 * field["dim"] + report.dims["t0"]
+
+
+def _kinds(orb, gens):
+    return {int(orb.relation[orb.cells[i], orb.cells[l]][block].max()) for (i, l), block in gens}
+
+
+# graphs, and the fields they are closed over past FIELDS: p | μ for
+# Paley(13) (μ = 3), Paley(29) (μ = 7) and grid(4) (μ = 2)
+MULTIPLIER_PANEL = [
+    ("multipartite-complement", (3, 3), FIELDS),
+    ("paley", (13,), FIELDS + [{"primes": (3,)}]),
+    ("grid", (4,), FIELDS + [{"primes": (2,)}]),
+    ("paley", (29,), [{}, {"primes": (7,)}]),
+    ("latin-square", SMALL_GROUP_SQUARE, FIELDS),
+]
+
+
+@pytest.mark.parametrize("tag,params,fields", MULTIPLIER_PANEL,
+                         ids=[f"{tag}-{len(fields)}" for tag, _, fields in MULTIPLIER_PANEL])
+def test_a1_multipliers_close_what_both_relations_close(monkeypatch, tag, params, fields):
+    # each closure _t0_t runs, on G_ω's orbitals and on the trivial group's,
+    # has the per-block echelon bases of the closure under A₁'s and A₂'s
+    # sandwiches alike; A₂'s multiply exactly where μ ≡ 0
+    if tag == "latin-square":
+        g = latin_square_graph(params, range(25))
+    elif tag == "multipartite-complement":
+        g = complement(construct(FamilySpec("multipartite", params)))
+    else:
+        g = construct(FamilySpec(tag, params))
+    mu = require_srg(g).mu
+    assert (mu == 0) == (tag == "multipartite-complement")
+    runs = []
+
+    def recording(gens, sizes, p, **kwargs):
+        result = algebra_closure(gens, sizes, p, **kwargs)
+        runs.append((gens, kwargs["seeds"], p, kwargs["labels"], result[0]))
+        return result
+
+    monkeypatch.setattr(terwilliger, "algebra_closure", recording)
+    for group in (automorphism_group(g).group, schreier_sims([], n=g.n)):
+        orb = pair_orbitals(g, group, 0)
+        for kwargs in fields:
+            runs.clear()
+            terwilliger._t0_t(orb, kwargs.get("primes", DEFAULT_PRIMES), kwargs.get("rational", False))
+            assert runs or group.order > 1  # the trivial group's context always closes
+            for gens, seeds, p, labels, space in runs:
+                mu_is_zero = mu == 0 if p is None else mu % p == 0
+                assert _kinds(orb, gens) == ({1, 2} if mu_is_zero else {1})
+                assert _kinds(orb, seeds) == (set() if mu_is_zero else {2})
+                both, _, _ = algebra_closure(gens + seeds, orb.sizes, p, labels=labels)
+                for pair, basis in both.bases.items():
+                    assert space.bases[pair].pivots == basis.pivots
+                    assert all(np.array_equal(a, b) for a, b in zip(space.bases[pair].rows, basis.rows))
