@@ -93,26 +93,13 @@ class SubspaceBasis:
         return np.asarray(v, dtype=np.int64) % self.p
 
     def _reduce(self, v: np.ndarray) -> np.ndarray:
-        """v minus its part in the span.  The rows are reduced at each
-        other's pivots, so each row's coefficient is v's entry at its pivot,
-        read before any subtraction; mod p, the subtractions are reduced
-        once at the end wherever the unreduced sum cannot overflow int64."""
-        if not self.rows:
-            return v
-        p, lazy = self.p, self._lazy()
-        for row, c in zip(self.rows, v[self.pivots]):
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
             if c:
                 v = v - c * row
-                if p is not None and not lazy:
-                    v %= p
-        return v % p if lazy else v
-
-    def _lazy(self) -> bool:
-        """Whether a reduction mod p may leave its reductions to the end:
-        Python integers never overflow, and int64 entries do not while the
-        dim subtracted products, each below p², sum below 2⁶²."""
-        p = self.p
-        return p is not None and (_exact(p) or len(self.rows) * (p - 1) ** 2 < 2**62)
+                if self.p is not None:
+                    v %= self.p
+        return v
 
     def insert(self, v) -> bool:
         """Add v to the span; True iff the dimension grew."""
@@ -140,22 +127,6 @@ class SubspaceBasis:
 
     def contains(self, v) -> bool:
         return not np.any(self._reduce(self._as_field(v)))
-
-    def outside(self, vs) -> np.ndarray:
-        """Whether each of the vectors vs lies outside the span, by one
-        residual for all of them: with V the vectors as rows and R the basis
-        rows, V − V[:, pivots]·R is zero in exactly the rows of V in the span,
-        since R is reduced at its pivots.  The product is summed row of R by
-        row of R into V, reduced as _reduce does, so no copy of R is made."""
-        vs = np.array([self._as_field(v) for v in vs])
-        p, lazy = self.p, self._lazy()
-        for row, c in zip(self.rows, vs[:, self.pivots].T):
-            vs -= c[:, None] * row
-            if p is not None and not lazy:
-                vs %= p
-        if lazy:
-            vs %= p
-        return np.any(vs != 0, axis=1)
 
 
 class BlockBasis:
@@ -306,9 +277,10 @@ def algebra_closure(
     a left module over the algebra 𝒜 they generate and holds its identity,
     so it holds 𝒜, and with the seeds in 𝒜 it is 𝒜.  So pushing g·x per
     spanning matrix x suffices; g·x is zero unless g's column cell is x's
-    row cell, and only those products are formed (_left_operators).  The inserted matrices are walked in insertion order,
-    all g·x of one x by one product.  The space's `counts` record the
-    products formed and the inserts tried, seeds included.
+    row cell, and only those products are formed (_left_operators).  The
+    inserted matrices are walked in insertion order, all g·x of one x by one
+    product.  The space's `counts` record the products formed and the
+    inserts tried, seeds included.
 
     Returns the space, the spanning ((i, l), coordinates) pairs actually
     inserted (any product of two with matching inner cells lies in the span,
@@ -361,17 +333,13 @@ def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> No
     """Membership of 50 random spanning-matrix products back in the span; the
     second factor is drawn among those whose row cell is the first's column
     cell, since other products are zero.  Each product is formed densely and
-    must be constant on the coordinate classes of its cell pair; that is
-    checked for every draw first.  Membership is then one residual product
-    per cell pair (SubspaceBasis.outside), and a failure names the first
-    failing draw."""
+    must be constant on the coordinate classes of its cell pair."""
     if not mats:
         return
     rows = {}
     for idx, ((k, _), _) in enumerate(mats):
         rows.setdefault(k, []).append(idx)
     rng = np.random.default_rng(0)
-    draws, per_pair = [], {}
     for _ in range(50):
         i = int(rng.integers(len(mats)))
         (a, k), x = mats[i]
@@ -384,16 +352,7 @@ def closure_product_selftest(space: BlockBasis, mats: list, p: int | None) -> No
             raise ClosureSelfTestFailed(
                 f"product of spanning matrices {i} and {j}: {err}"
             ) from None
-        per_pair.setdefault((a, l), []).append((len(draws), coords))
-        draws.append((i, j))
-    failing = [
-        draw
-        for pair, drawn in per_pair.items()
-        for (draw, _), out in zip(drawn, space.bases[pair].outside([c for _, c in drawn]))
-        if out
-    ]
-    if failing:
-        i, j = draws[min(failing)]
-        raise ClosureSelfTestFailed(
-            f"product of spanning matrices {i} and {j} lies outside the span"
-        )
+        if not space.contains((a, l), coords):
+            raise ClosureSelfTestFailed(
+                f"product of spanning matrices {i} and {j} lies outside the span"
+            )

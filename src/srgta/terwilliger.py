@@ -179,25 +179,26 @@ def t0_t_report(
     pins it by T₀ when T₀ already fills T̃ (_t0_t).  Over ℚ
     alone when `rational`, else over GF(p) for each of `primes`, which must
     agree (PrimeDisagreement); the closure self-test runs over the first
-    field.  `primes` must be a nonempty tuple of primes (ValueError,
-    NotPrime) unless `rational`.  T₀ is cross-validated against the
-    closed-form intersection numbers: its block (i, k) must have as many
-    dimensions as there are nonzero pᵢⱼᵏ over j (OracleMismatch).
+    field.  Unless `rational`, which ignores them, `primes` must be a
+    nonempty tuple of primes (ValueError, NotPrime).  T₀ is cross-validated
+    against the closed-form intersection numbers: its block (i, k) must
+    have as many dimensions as there are nonzero pᵢⱼᵏ over j
+    (OracleMismatch).
     """
     t0, t, _ = _t0_t(pair_orbitals(g, schreier_sims([], n=g.n), omega), primes, rational)
     return t0, t
 
 
 def _fields(primes, rational) -> tuple:
-    """The fields T is closed over: ℚ (None) alone when `rational`, else the
-    primes.  Each of the primes must be prime (NotPrime), and there must be
-    one at least unless `rational` (ValueError)."""
+    """The fields T is closed over: ℚ (None) alone when `rational`, whatever
+    the primes, else the primes, which must be primes (NotPrime), one at
+    least (ValueError)."""
+    if rational:
+        return (None,)
     primes = tuple(primes)
     for p in primes:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-    if rational:
-        return (None,)
     if not primes:
         raise ValueError("need at least one prime, or rational=True")
     return primes

@@ -444,8 +444,9 @@ def test_fields_are_checked_before_any_closure(paley13, monkeypatch, primes, err
             run()
 
 
-def test_rational_needs_no_primes(paley13):
-    got, want = (t0_t_report(paley13, primes=primes, rational=True) for primes in ((), DEFAULT_PRIMES))
+@pytest.mark.parametrize("primes", [(), (4,), (1048573, 15)])
+def test_rational_ignores_the_primes(paley13, primes):
+    got, want = (t0_t_report(paley13, primes=ps, rational=True) for ps in (primes, DEFAULT_PRIMES))
     assert [(d, b.tolist()) for d, b in got] == [(d, b.tolist()) for d, b in want]
 
 
@@ -458,7 +459,7 @@ def test_closure_counters_pin_inserts_to_three_per_dim():
     assert set(counts) == set(DEFAULT_PRIMES)
     for field in counts.values():
         assert field["dim"] == report.dims["t"]
-        assert field["products"] <= field["dim"]
+        assert 0 < field["products"] <= field["dim"] <= field["inserts"]
         assert field["inserts"] <= 3 * field["dim"] + report.dims["t0"]
 
 
