@@ -41,7 +41,7 @@ from .graphcore import (
     validate_params,
 )
 from .permgroup import orbits
-from .terwilliger import AlgebraReport, analyze_vertex
+from .terwilliger import AlgebraReport, _fields, analyze_vertex
 
 _TRIPLE_GUARD = 300
 
@@ -302,11 +302,12 @@ def triple_transitivity_verdict(
     """Full pipeline at base vertex 0: the automorphism group, searched from
     any supplied generators (NotAnAutomorphism unless they are automorphisms),
     the three algebra dimensions, and the verdict transitive ∧ rank 3 ∧
-    dim T₀ = dim T = dim T̃.
+    dim T₀ = dim T = dim T̃.  The fields are checked before the search.
 
     A search that runs out of time still gives a verdict, flagged as resting
     on a lower bound for the group; only a true verdict stands on it."""
     require_srg(g)
+    _fields(primes, rational)
     found = automorphism_group(g, timeout, partial_ok=True, gens=gens or ())
     return analyze_vertex(
         g, found.group, 0, primes=primes, rational=rational, aut_complete=found.complete,

@@ -40,11 +40,15 @@ _GF_SIZE_GUARD = 2**20
 
 
 def guard_limit(default: int) -> int:
-    """Size-guard limit, overridable by the SRGTA_SIZE_GUARD env variable."""
+    """Size-guard limit, overridable by the SRGTA_SIZE_GUARD env variable;
+    SizeGuardExceeded if that holds no integer."""
     raw = os.environ.get("SRGTA_SIZE_GUARD")
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise SizeGuardExceeded(f"SRGTA_SIZE_GUARD={raw!r} is not an integer") from None
 
 
 def check_guard(value: int, default_limit: int, what: str) -> None:

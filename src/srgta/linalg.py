@@ -1,12 +1,12 @@
 """Exact linear algebra on spaces of n×n matrices over a prime field.
 
 Matrices are held by coordinates, their entries or their values on classes
-of entries they are constant on, and kept in reduced echelon bases, one per
-cell pair (BlockBasis), so span and block dimensions fall out of row
-reduction.  The field substitutes for the complex numbers: ranks of integer
-matrices over GF(p) can only drop relative to the rationals, and only for
-finitely many p, so agreement across two independent primes (plus an
-optional all-rational mode) is the correctness bar.
+of entries they are constant on, and kept in triangular bases, one per cell
+pair (BlockBasis), so span and block dimensions fall out of row reduction.
+The field substitutes for the complex numbers: ranks of integer matrices
+over GF(p) can only drop relative to the rationals, and only for finitely
+many p, so agreement across two independent primes (plus an optional
+all-rational mode) is the correctness bar.
 
 Every product is matmul_mod's: BLAS float64 whenever n·(p−1)² < 2⁵³ makes it
 exact, which holds for the default 20-bit primes up to the closure size guard,
@@ -64,11 +64,15 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
 
 @dataclass
 class SubspaceBasis:
-    """Reduced echelon basis of a subspace of GF(p)^ncols.
+    """Triangular basis of a subspace of GF(p)^ncols: each row has a leading
+    1 at its pivot and is zero at the pivots of the rows before it, so one
+    pass over the rows in order reduces a vector.  Only the span is
+    canonical, not the rows, which depend on the insertion order.
 
-    p=None switches every entry to Fraction for the rational verification
-    mode; the interface is identical, just slower.  Past 31-bit primes the
-    entries are Python integers too (see _exact).
+    p=None works over ℚ for the rational verification mode: entries stay
+    as given (integers or Fractions) until a row is scaled to its leading 1,
+    which makes it Fractions; the interface is identical, just slower.  Past
+    31-bit primes the entries are Python integers too (see _exact).
     """
 
     p: int | None
@@ -79,18 +83,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def _as_field(self, v) -> np.ndarray:
-        if len(v) != self.ncols:
-            raise DimMismatch(f"vector length {len(v)} != {self.ncols}")
-        if self.p is None:
-            return np.array(
-                [x if isinstance(x, Fraction) else Fraction(int(x)) for x in v],
-                dtype=object,
-            )
-        if _exact(self.p):
-            return np.array([int(x) % self.p for x in v], dtype=object)
-        return np.asarray(v, dtype=np.int64) % self.p
 
     def _reduce(self, v: np.ndarray) -> np.ndarray:
         for row, piv in zip(self.rows, self.pivots):
@@ -103,34 +95,26 @@ class SubspaceBasis:
 
     def insert(self, v) -> bool:
         """Add v to the span; True iff the dimension grew."""
-        w = self._reduce(self._as_field(v))
+        w = self._reduce(_normalize(v, (self.ncols,), self.p))
         nz = np.nonzero(w)[0]
         if len(nz) == 0:
             return False
         piv = int(nz[0])
         lead = w[piv]
         if self.p is None:
-            w = w / lead
+            w = w * (Fraction(1) / lead)
         else:
             w = (w * pow(int(lead), self.p - 2, self.p)) % self.p
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                row = row - c * w
-                if self.p is not None:
-                    row %= self.p
-                self.rows[i] = row
-        at = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), piv))
-        self.rows.insert(at, w)
-        self.pivots.insert(at, piv)
+        self.rows.append(w)
+        self.pivots.append(piv)
         return True
 
     def contains(self, v) -> bool:
-        return not np.any(self._reduce(self._as_field(v)))
+        return not np.any(self._reduce(_normalize(v, (self.ncols,), self.p)))
 
 
 class BlockBasis:
-    """Echelon bases of a space of block-pure matrices, one per cell pair.
+    """Triangular bases of a space of block-pure matrices, one per cell pair.
 
     The entries split into cells of the given sizes.  A matrix is block-pure
     when it is zero outside one cell pair Δᵢ×Δₗ.  `labels[i, l]`, an integer
@@ -199,15 +183,15 @@ class BlockBasis:
         return self.bases[pair].contains(x.reshape(-1))
 
 
-def _normalize(m, shape: tuple[int, int], p: int | None) -> np.ndarray:
-    """An integer matrix of the given shape with its entries in the field:
-    reduced mod p, and Python integers where the arithmetic is exact (see
-    _exact)."""
+def _normalize(m, shape: tuple, p: int | None) -> np.ndarray:
+    """A matrix or vector of the given shape with its entries in the field:
+    integers reduced mod p, Python integers where the arithmetic is exact
+    (see _exact), and over ℚ integers and Fractions as they are."""
     m = np.asarray(m)
     if m.shape != shape:
-        raise DimMismatch(f"matrix shape {m.shape} != {shape}")
+        raise DimMismatch(f"shape {m.shape} != {shape}")
     if _exact(p):
-        flat = [int(x) % p if p else int(x) for x in m.reshape(-1)]
+        flat = [int(x) % p if p else x if isinstance(x, Fraction) else int(x) for x in m.reshape(-1)]
         return np.array(flat, dtype=object).reshape(shape)
     return m.astype(np.int64, copy=False) % p
 

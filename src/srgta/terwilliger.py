@@ -251,11 +251,9 @@ def _t0_t(orb: PairOrbitals, primes, rational):
 
         results = [closure(p, idx == 0) for idx, p in enumerate(fields)]
     for label, per_field in zip(("T0", "T"), zip(*results)):
-        dims = {int(blocks.sum()) for blocks in per_field}
-        if len(dims) != 1:
-            raise PrimeDisagreement(f"{label} dimension differs across primes: {dims}")
         if any(not np.array_equal(per_field[0], other) for other in per_field[1:]):
-            raise PrimeDisagreement(f"{label} block dimensions differ across primes")
+            blocks = [b.tolist() for b in per_field]
+            raise PrimeDisagreement(f"{label} block dimensions differ across fields {fields}: {blocks}")
 
     blocks0, blocks1 = results[0]
     expected = np.count_nonzero(intersection_numbers(orb.params), axis=1)

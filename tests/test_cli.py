@@ -69,6 +69,14 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
 
 
+def test_malformed_size_guard_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SRGTA_SIZE_GUARD", "abc")
+    code, text, err = run(capsys, "construct", "paley", "13")
+    assert code == 2
+    assert text == ""
+    assert err == "error: SRGTA_SIZE_GUARD='abc' is not an integer\n"
+
+
 # -- analyze ---------------------------------------------------------------------
 
 def test_analyze_json_report(capsys, petersen_file):

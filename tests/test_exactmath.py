@@ -347,6 +347,15 @@ def test_gf_construct_guards():
         gf_construct(3, 0)
 
 
+@pytest.mark.parametrize("raw", ["abc", "", "1e3", "12.5"])
+def test_malformed_size_guard_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("SRGTA_SIZE_GUARD", raw)
+    with pytest.raises(SizeGuardExceeded, match=f"^SRGTA_SIZE_GUARD={raw!r} is not an integer$"):
+        exactmath.guard_limit(100)
+    with pytest.raises(SizeGuardExceeded, match="SRGTA_SIZE_GUARD"):
+        gf_construct(13)
+
+
 def test_primitive_element_examples():
     assert gf_primitive_element(gf_construct(5)) == 2
     # in GF(9) the element x+1 encodes as 1 + 1*3 = 4

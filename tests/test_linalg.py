@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon bases and the block-by-block algebra closure."""
+"""Exact linear algebra: triangular bases and the block-by-block algebra closure."""
 
 import os
 import subprocess
@@ -67,18 +67,24 @@ def test_basis_insert_and_contains():
         basis.insert([1, 2])
 
 
-def test_basis_is_canonical_under_insertion_order():
+def same_span(a, b) -> bool:
+    """Equal dims, and each basis holds the other's rows."""
+    return a.dim == b.dim and all(a.contains(r) for r in b.rows) and all(b.contains(r) for r in a.rows)
+
+
+def test_span_does_not_depend_on_insertion_order():
+    # rank 3 over each field: the third vector is the sum of the first two
     vectors = [[1, 2, 0, 5], [3, 1, 1, 0], [4, 3, 1, 5], [0, 0, 2, 1]]
-    fwd = SubspaceBasis(11, 4)
-    rev = SubspaceBasis(11, 4)
-    for v in vectors:
-        fwd.insert(v)
-    for v in reversed(vectors):
-        rev.insert(v)
-    assert fwd.dim == rev.dim
-    assert fwd.pivots == rev.pivots
-    for a, b in zip(fwd.rows, rev.rows):
-        assert np.array_equal(a, b)
+    for p in (11, 2147483659, None):
+        fwd = SubspaceBasis(p, 4)
+        rev = SubspaceBasis(p, 4)
+        for v in vectors:
+            fwd.insert(v)
+        for v in reversed(vectors):
+            rev.insert(v)
+        assert fwd.dim == 3
+        assert same_span(fwd, rev)
+        assert not fwd.contains([0, 0, 0, 1])
 
 
 def test_rational_basis_uses_fractions():
@@ -88,6 +94,13 @@ def test_rational_basis_uses_fractions():
     assert basis.rows[0][0] == Fraction(1)     # normalized leading entry
     assert basis.contains([Fraction(3), Fraction(2)])
     assert not basis.contains([1, 1])
+    # integer input is scaled exactly too: 3·(1, 1/3) = (3, 1)
+    basis = SubspaceBasis(None, 3)
+    assert basis.insert([0, 3, 1]) and basis.insert(np.array([2, 0, 5]))
+    assert all(type(x) is Fraction for row in basis.rows for x in row)
+    assert basis.rows[0].tolist() == [0, 1, Fraction(1, 3)]
+    assert basis.rows[1].tolist() == [1, 0, Fraction(5, 2)]
+    assert basis.contains([2, 3, 6]) and not basis.contains([2, 3, 7])
 
 
 def test_wide_prime_basis_routes_through_objects():

@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 from test_autgrp import ORDER_SIX_SQUARE, RIGID_SQUARE, SMALL_GROUP_SQUARE, latin_square_graph
+from test_linalg import same_span
 
 from srgta.autgrp import automorphism_group
 from srgta.classifier import intersection_numbers, triple_transitivity_verdict
@@ -19,7 +20,7 @@ from srgta.graphcore import ImprimitiveParams, complement, require_srg, vertex_p
 from srgta.exactmath import DEFAULT_PRIMES, NotPrime, SizeGuardExceeded, gf_construct
 from srgta.linalg import PrimeDisagreement, algebra_closure, closure_product_selftest
 from srgta.permgroup import based_at, point_stabilizer, schreier_sims
-from srgta import terwilliger
+from srgta import classifier, terwilliger
 from srgta.terwilliger import (
     AlgebraReport,
     CellNotInvariant,
@@ -271,6 +272,29 @@ def test_spectral_count_raises_when_the_fields_disagree(monkeypatch):
         t_dim_spectral_crosscheck(g)
 
 
+@pytest.mark.parametrize("label", ["T0", "T"])
+def test_closure_raises_when_the_fields_disagree(paley13, monkeypatch, label):
+    # the second field's closure loses a dimension of T's block (1, 1), or
+    # moves one of T₀'s from block (1, 1) to (1, 2), keeping dim T₀
+    calls = []
+
+    def skewed(gens, sizes, p, **kwargs):
+        space, mats, seeded = algebra_closure(gens, sizes, p, **kwargs)
+        calls.append(p)
+        if len(calls) == 2:
+            if label == "T":
+                basis = space.bases[1, 1]
+                del basis.rows[-1], basis.pivots[-1]
+            else:
+                seeded = seeded + np.array([[0, 0, 0], [0, -1, 1], [0, 0, 0]])
+        return space, mats, seeded
+
+    monkeypatch.setattr(terwilliger, "algebra_closure", skewed)
+    with pytest.raises(PrimeDisagreement, match=f"^{label} block dimensions differ across fields"):
+        t0_t_report(paley13)
+    assert calls == list(DEFAULT_PRIMES)
+
+
 # -- orbital coordinates against the group-less closure ------------------------
 
 FIELDS = [{}, {"primes": (65521, 65519)}, {"primes": (2147483659,)}, {"rational": True}]
@@ -444,6 +468,16 @@ def test_fields_are_checked_before_any_closure(paley13, monkeypatch, primes, err
             run()
 
 
+@pytest.mark.parametrize("primes,error", [((), ValueError), ((4,), NotPrime), ((9,), NotPrime)])
+def test_fields_are_checked_before_the_search(paley13, monkeypatch, primes, error):
+    def search(*args, **kwargs):
+        raise AssertionError("the automorphism search ran on fields that were not checked")
+
+    monkeypatch.setattr(classifier, "automorphism_group", search)
+    with pytest.raises(error):
+        triple_transitivity_verdict(paley13, primes=primes)
+
+
 @pytest.mark.parametrize("primes", [(), (4,), (1048573, 15)])
 def test_rational_ignores_the_primes(paley13, primes):
     got, want = (t0_t_report(paley13, primes=ps, rational=True) for ps in (primes, DEFAULT_PRIMES))
@@ -482,8 +516,8 @@ MULTIPLIER_PANEL = [
                          ids=[f"{tag}-{len(fields)}" for tag, _, fields in MULTIPLIER_PANEL])
 def test_a1_multipliers_close_what_both_relations_close(monkeypatch, tag, params, fields):
     # each closure _t0_t runs, on G_ω's orbitals and on the trivial group's,
-    # has the per-block echelon bases of the closure under A₁'s and A₂'s
-    # sandwiches alike; A₂'s multiply exactly where μ ≡ 0
+    # has the per-block spans of the closure under A₁'s and A₂'s sandwiches
+    # alike; A₂'s multiply exactly where μ ≡ 0
     if tag == "latin-square":
         g = latin_square_graph(params, range(25))
     elif tag == "multipartite-complement":
@@ -512,5 +546,4 @@ def test_a1_multipliers_close_what_both_relations_close(monkeypatch, tag, params
                 assert _kinds(orb, seeds) == (set() if mu_is_zero else {2})
                 both, _, _ = algebra_closure(gens + seeds, orb.sizes, p, labels=labels)
                 for pair, basis in both.bases.items():
-                    assert space.bases[pair].pivots == basis.pivots
-                    assert all(np.array_equal(a, b) for a, b in zip(space.bases[pair].rows, basis.rows))
+                    assert same_span(space.bases[pair], basis)
