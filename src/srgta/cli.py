@@ -65,6 +65,7 @@ from .permgroup import DegreeMismatch, orbits, write_generators
 from .terwilliger import (
     InternalDisagreement,
     OracleMismatch,
+    _fields,
     analyze_vertex,
     t0_t_report,
     t_dim_spectral_crosscheck,
@@ -112,8 +113,6 @@ def _scalar_primes(args) -> tuple:
     if getattr(args, "rational", False):
         return DEFAULT_PRIMES  # ignored downstream when rational=True
     if getattr(args, "prime", None) is not None:
-        if not is_prime(args.prime):
-            raise NotPrime(f"{args.prime} is not prime")
         return (args.prime,)
     if getattr(args, "seed", None) is not None:
         return _primes_from_seed(args.seed)
@@ -158,6 +157,7 @@ def cmd_analyze(args) -> int:
     g = read_graph(args.file)
     require_srg(g)
     primes = _scalar_primes(args)
+    _fields(primes, args.rational)  # before the search, as triple_transitivity_verdict does
     gens = import_generators(args.gens, g) if args.gens else ()
     found = automorphism_group(g, args.timeout, gens=gens)
     group = found.group
@@ -560,6 +560,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # nan too; inf means no limit
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srgta",
@@ -580,14 +587,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true", default=True)
     fmt.add_argument("--table", action="store_true")
     _add_scalar_flags(p_analyze)
-    p_analyze.add_argument("--timeout", type=float, default=300.0)
+    p_analyze.add_argument("--timeout", type=_positive_seconds, default=300.0)
     p_analyze.add_argument("--all-vertices", action="store_true")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_aut = subs.add_parser("aut", help="automorphism group of a graph file")
     p_aut.add_argument("file")
     p_aut.add_argument("--export", "-o", "--output", dest="export")
-    p_aut.add_argument("--timeout", type=float, default=300.0)
+    p_aut.add_argument("--timeout", type=_positive_seconds, default=300.0)
     p_aut.set_defaults(func=cmd_aut)
 
     p_classify = subs.add_parser("classify", help="parameter-level analysis")
@@ -601,14 +608,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file")
     p_check.add_argument("--gens", help="generator file, seeds the automorphism search")
     _add_scalar_flags(p_check)
-    p_check.add_argument("--timeout", type=float, default=300.0)
+    p_check.add_argument("--timeout", type=_positive_seconds, default=300.0)
     p_check.set_defaults(func=cmd_check_triple)
 
     p_rep = subs.add_parser("reproduce", help="run the frozen row battery")
     p_rep.add_argument("--only", help="substring filter on row names")
     p_rep.add_argument("--import-dir", help="directory of imported .srg files")
     p_rep.add_argument("--jobs", type=_positive_int, help="worker processes (default: cores)")
-    p_rep.add_argument("--timeout", type=float, help="per-row search budget override")
+    p_rep.add_argument("--timeout", type=_positive_seconds, help="per-row search budget override")
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -10,13 +10,14 @@ all-rational mode) is the correctness bar.
 
 Every product is matmul_mod's: BLAS float64 whenever n·(p−1)² < 2⁵³ makes it
 exact, which holds for the default 20-bit primes up to the closure size guard,
-exact integers otherwise, and unreduced over ℚ (p=None).
+exact integers otherwise, and unreduced over ℚ (p=None).  Entries are integers
+on every field; over ℚ a basis keeps primitive integer rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -69,10 +70,10 @@ class SubspaceBasis:
     pass over the rows in order reduces a vector.  Only the span is
     canonical, not the rows, which depend on the insertion order.
 
-    p=None works over ℚ for the rational verification mode: entries stay
-    as given (integers or Fractions) until a row is scaled to its leading 1,
-    which makes it Fractions; the interface is identical, just slower.  Past
-    31-bit primes the entries are Python integers too (see _exact).
+    p=None works over ℚ for the rational verification mode: each row is a
+    primitive integer vector, the reduced vector divided by the gcd of its
+    entries, and reduces v to row[piv]·v − v[piv]·row.  Past 31-bit primes
+    the entries are Python integers too (see _exact).
     """
 
     p: int | None
@@ -87,8 +88,8 @@ class SubspaceBasis:
     def _reduce(self, v: np.ndarray) -> np.ndarray:
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
-            if c:
-                v = v - c * row
+            if c:  # over ℚ, scaling v by row[piv] clears v[piv] without dividing
+                v = (row[piv] * v if self.p is None else v) - c * row
                 if self.p is not None:
                     v %= self.p
         return v
@@ -100,11 +101,10 @@ class SubspaceBasis:
         if len(nz) == 0:
             return False
         piv = int(nz[0])
-        lead = w[piv]
         if self.p is None:
-            w = w * (Fraction(1) / lead)
+            w = w // math.gcd(*w)
         else:
-            w = (w * pow(int(lead), self.p - 2, self.p)) % self.p
+            w = (w * pow(int(w[piv]), self.p - 2, self.p)) % self.p
         self.rows.append(w)
         self.pivots.append(piv)
         return True
@@ -185,15 +185,26 @@ class BlockBasis:
 
 def _normalize(m, shape: tuple, p: int | None) -> np.ndarray:
     """A matrix or vector of the given shape with its entries in the field:
-    integers reduced mod p, Python integers where the arithmetic is exact
-    (see _exact), and over ℚ integers and Fractions as they are."""
-    m = np.asarray(m)
+    integers, reduced mod p, and Python integers where the arithmetic is
+    exact (see _exact).  On every field an entry that does not equal an
+    integer raises ValueError.  A list is read as Python objects, so numpy
+    rounds no large integer of it through float64."""
+    m = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
     if m.shape != shape:
         raise DimMismatch(f"shape {m.shape} != {shape}")
-    if _exact(p):
-        flat = [int(x) % p if p else x if isinstance(x, Fraction) else int(x) for x in m.reshape(-1)]
-        return np.array(flat, dtype=object).reshape(shape)
-    return m.astype(np.int64, copy=False) % p
+    kind = m.dtype.kind
+    if (kind in "bi" or kind == "u" and m.dtype.itemsize < 8) and not _exact(p):  # int64 holds them
+        return m.astype(np.int64, copy=False) % p
+    flat = m.reshape(-1).tolist()
+    try:
+        ints = [int(x) for x in flat]
+        if ints != flat:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("entries must be integers") from None
+    if p:
+        ints = [x % p for x in ints]
+    return np.array(ints, dtype=object if _exact(p) else np.int64).reshape(shape)
 
 
 def _left_operators(space: BlockBasis, gens) -> dict:

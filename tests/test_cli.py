@@ -116,14 +116,21 @@ def test_analyze_scalar_substrates_agree(capsys, petersen_file):
         assert run(capsys, "analyze", petersen_file, *flags)[1] == baseline
 
 
-def test_analyze_rejects_composite_prime_flag(capsys, petersen_file):
+def no_search(*args, **kwargs):
+    raise AssertionError("the automorphism search ran")
+
+
+def test_analyze_rejects_composite_prime_flag(capsys, monkeypatch, petersen_file):
+    # the primes are checked before the search
+    monkeypatch.setattr(srgta.cli, "automorphism_group", no_search)
     code, _, err = run(capsys, "analyze", petersen_file, "--prime", "6")
     assert code == 2
     assert "not prime" in err
 
 
-def test_analyze_prime_flag_at_psi_13_is_a_usage_error(capsys, petersen_file):
+def test_analyze_prime_flag_at_psi_13_is_a_usage_error(capsys, monkeypatch, petersen_file):
     # 13-base Miller-Rabin is proven exact only below psi_13, so no verdict
+    monkeypatch.setattr(srgta.cli, "automorphism_group", no_search)
     code, text, err = run(capsys, "analyze", petersen_file, "--prime", "3317044064679887385961981")
     assert code == 2
     assert text == ""
@@ -174,6 +181,22 @@ def test_analyze_timeout_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(out), "--timeout", "1e-9")
     assert code == 3
     assert "timed out" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "aut", "check-triple", "reproduce"])
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan"])
+def test_timeout_must_be_a_positive_number_of_seconds(capsys, petersen_file, command, seconds):
+    target = ["--only", "paley_5"] if command == "reproduce" else [petersen_file]
+    code, text, err = run(capsys, command, *target, "--timeout", seconds)
+    assert code == 2
+    assert text == ""
+    assert "must be a positive number of seconds" in err
+
+
+def test_infinite_timeout_means_no_limit(capsys, petersen_file):
+    code, text, _ = run(capsys, "aut", petersen_file, "--timeout", "inf")
+    assert code == 0
+    assert "order 120" in text
 
 
 def test_analyze_with_imported_generators(

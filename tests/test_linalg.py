@@ -1,5 +1,6 @@
 """Exact linear algebra: triangular bases and the block-by-block algebra closure."""
 
+import math
 import os
 import subprocess
 import sys
@@ -87,20 +88,44 @@ def test_span_does_not_depend_on_insertion_order():
         assert not fwd.contains([0, 0, 0, 1])
 
 
-def test_rational_basis_uses_fractions():
-    basis = SubspaceBasis(None, 2)
-    basis.insert([Fraction(1, 2), Fraction(1, 3)])
-    assert basis.dim == 1
-    assert basis.rows[0][0] == Fraction(1)     # normalized leading entry
-    assert basis.contains([Fraction(3), Fraction(2)])
-    assert not basis.contains([1, 1])
-    # integer input is scaled exactly too: 3·(1, 1/3) = (3, 1)
+def test_rational_basis_holds_primitive_integer_rows():
+    with pytest.raises(ValueError):
+        SubspaceBasis(None, 2).insert([Fraction(1, 2), 1])
     basis = SubspaceBasis(None, 3)
     assert basis.insert([0, 3, 1]) and basis.insert(np.array([2, 0, 5]))
-    assert all(type(x) is Fraction for row in basis.rows for x in row)
-    assert basis.rows[0].tolist() == [0, 1, Fraction(1, 3)]
-    assert basis.rows[1].tolist() == [1, 0, Fraction(5, 2)]
+    assert [r.tolist() for r in basis.rows] == [[0, 3, 1], [2, 0, 5]]
+    for row in basis.rows:
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
     assert basis.contains([2, 3, 6]) and not basis.contains([2, 3, 7])
+    # 3·(2, 3, 6) − 3·(0, 3, 1) = (6, 0, 15) is stored divided by its gcd
+    basis = SubspaceBasis(None, 3)
+    assert basis.insert([0, 3, 1]) and basis.insert([2, 3, 6])
+    assert [r.tolist() for r in basis.rows] == [[0, 3, 1], [2, 0, 5]]
+
+
+@pytest.mark.parametrize("p", [None, 7, 2147483659])
+def test_non_integral_entries_raise_on_every_field(p):
+    for v in ([0.5, 0.25], [Fraction(1, 2), 1]):
+        with pytest.raises(ValueError):
+            SubspaceBasis(p, 2).insert(v)
+        with pytest.raises(ValueError):
+            SubspaceBasis(p, 2).contains(v)
+    basis = SubspaceBasis(p, 2)
+    assert basis.insert([2.0, 4.0])
+    assert basis.contains([1, 2]) and not basis.contains([2, 1])
+    assert basis.insert([Fraction(4, 2), 1]) and basis.dim == 2
+
+
+@pytest.mark.parametrize("p", [None, 7, 2147483659])
+def test_entries_past_int64_are_reduced_exactly(p):
+    # np.asarray rounds this list through float64, and int64 wraps the uint64 array
+    big = 2**64 - 1
+    v = [big, big % p if p else big]
+    basis = SubspaceBasis(p, 2)
+    basis.insert([1, 1])
+    assert basis.contains(v)
+    assert basis.contains(np.array(v, dtype=np.uint64))
 
 
 def test_wide_prime_basis_routes_through_objects():

@@ -4,6 +4,7 @@ bench recorder's parsing."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +16,29 @@ import srgta
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_dimension_survey_selftest_rederives_frozen_values():
+def _run_script(name, *args):
     # run, not imported: the oracle must share no state with the library
     src = str(Path(srgta.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "dimension_survey.py"), "--selftest"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
     )
+
+
+def test_dimension_survey_selftest_rederives_frozen_values():
+    proc = _run_script("dimension_survey", "--selftest")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all frozen values re-derived" in proc.stdout
+
+
+def test_paley_peisert_growth_tabulates_the_paley_line():
+    proc = _run_script("paley_peisert_growth", "--max-q", "17")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = dict(re.findall(r"^paley +q= *(\d+) .*\((.*)\)$", proc.stdout, re.M))
+    assert rows["5"] == "3+2q=13"
+    assert rows["13"] == "3+2q=29"
+    assert rows["17"] == "3+2q=37"
 
 
 def _load_script(name):
