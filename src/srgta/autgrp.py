@@ -315,8 +315,11 @@ def automorphism_group(
     branch past the first path.  A search that finishes has found all of Aut,
     seeded or not.  Raises Timeout after `timeout` seconds unless partial_ok,
     in which case the group found so far comes back with complete=False (it
-    is then only a lower bound for the full automorphism group).
+    is then only a lower bound for the full automorphism group).  A timeout
+    that is not > 0 (nan too) raises ValueError; math.inf means no limit.
     """
+    if not timeout > 0:
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
     check_guard(g.n, _AUT_SIZE_GUARD, "automorphism search order")
     n = g.n
     found = check_automorphisms(g, gens)
@@ -325,7 +328,7 @@ def automorphism_group(
         return AutResult(found, schreier_sims([], n=0), True, stats)
     a = g.adjacency_dense()
     af = a.astype(np.float64)
-    deadline = time.monotonic() + timeout if timeout else None
+    deadline = time.monotonic() + timeout
     path = _first_path(af, *_root(af), stats)
     chain = schreier_sims(found, base_prefix=tuple(path.base), n=n)
 
@@ -344,7 +347,7 @@ def automorphism_group(
             labelled = None
             for v in members[1:]:  # members[0] is the first path's own branch
                 if labelled is not chain:  # orbits of G_(base[:d]), once per chain
-                    labelled, labels = chain, chain.orbit_labels(d)
+                    labelled, labels = chain, chain.stabilizer(d).orbit_labels()
                 if labels[v] < v:
                     stats.orbit_prunes += 1
                     continue  # an equivalent branch was already explored

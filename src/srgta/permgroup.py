@@ -11,8 +11,10 @@ strong generator of every level it reaches, grows those levels' orbits and
 coset representatives, and sifts only the Schreier generators that are new,
 those of new orbit points and those of the new generator.  When the order
 is known in advance, as when a chain is rebased, building stops as soon as
-the product of the orbit lengths reaches it.  Nothing is randomized, so
-chains are reproducible, which the golden tests rely on.
+the product of the orbit lengths reaches it.  The pointwise stabilizer of
+a base prefix is the chain's later levels, shared (`GroupBSGS.stabilizer`).
+Nothing is randomized, so chains are reproducible, which the golden tests
+rely on.
 """
 
 from __future__ import annotations
@@ -319,21 +321,19 @@ class GroupBSGS:
         res, j = _sift(self.levels, np.asarray(g, dtype=np.intp))
         return j == len(self.levels) and np.array_equal(res, np.arange(self.n))
 
-    def _stabilizer_arrays(self, depth: int) -> list[np.ndarray]:
+    def stabilizer(self, depth: int) -> "GroupBSGS":
+        """The chain of the pointwise stabilizer of base[:depth]: this
+        chain's levels from depth on, shared, with their generators as its
+        strong generators."""
         seen: dict[bytes, np.ndarray] = {}
         for lvl in self.levels[depth:]:
             for g in lvl.gens:
                 seen.setdefault(g.tobytes(), g)
-        return list(seen.values())
+        return GroupBSGS(self.n, self.levels[depth:], seen.values())
 
-    def stabilizer_gens(self, depth: int) -> list[Perm]:
-        """Generators of the pointwise stabilizer of base[:depth]."""
-        return [tuple(g.tolist()) for g in self._stabilizer_arrays(depth)]
-
-    def orbit_labels(self, depth: int) -> np.ndarray:
-        """Least point of each point's orbit under the pointwise stabilizer
-        of base[:depth]."""
-        return _orbit_labels(self._stabilizer_arrays(depth), self.n)
+    def orbit_labels(self) -> np.ndarray:
+        """Least point of each point's orbit under the group."""
+        return _orbit_labels(self._strong, self.n)
 
 
 def _build(n: int, gens, base_prefix=(), chain: GroupBSGS | None = None, order=None) -> GroupBSGS:
@@ -397,24 +397,17 @@ def based_at(group: GroupBSGS, omega: int) -> GroupBSGS:
 
 def point_stabilizer(group: GroupBSGS, omega: int) -> list[Perm]:
     """Generators of G_omega, read off a chain whose base starts at omega."""
-    return based_at(group, omega).stabilizer_gens(1)
+    return list(based_at(group, omega).stabilizer(1).strong_gens)
 
 
 def two_point_stabilizer(group: GroupBSGS, omega: int, omega2: int) -> list[Perm]:
-    """Generators of G_{omega,omega2}: the G_omega part of a chain based at
-    omega, rebased to start at omega2.  |G_omega| is known from the chain, so
-    the rebuild stops when the orbit lengths reach it."""
-    for w in (omega, omega2):
-        if not (0 <= w < group.n):
-            raise VertexOutOfRange(f"vertex {w} outside 0..{group.n - 1}")
+    """Generators of G_{omega,omega2}: G_omega's chain, the tail of a chain
+    based at omega, based in turn at omega2.  Nothing is rebuilt when omega
+    and omega2 are the first two base points of `group`."""
+    stab = based_at(group, omega).stabilizer(1)
     if omega == omega2:
         raise ValueError("points must be distinct")
-    chain = based_at(group, omega)
-    if not chain.levels:
-        return []
-    stab = chain._stabilizer_arrays(1)
-    order = chain.order // chain.levels[0].size
-    return _build(group.n, stab, (omega2,), order=order).stabilizer_gens(1)
+    return list(based_at(stab, omega2).stabilizer(1).strong_gens)
 
 
 def transitivity_rank(group: GroupBSGS, n: int) -> tuple[bool, int | None]:
@@ -423,7 +416,7 @@ def transitivity_rank(group: GroupBSGS, n: int) -> tuple[bool, int | None]:
         return (True, 1) if n == 1 else (False, None)
     if group.levels[0].size != n:
         return False, None
-    return True, int(np.count_nonzero(group.orbit_labels(1) == np.arange(n)))
+    return True, int(np.count_nonzero(group.stabilizer(1).orbit_labels() == np.arange(n)))
 
 
 class _PairImages:

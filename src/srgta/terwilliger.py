@@ -51,7 +51,6 @@ from .permgroup import (
     orbits,
     pair_orbit_labels,
     schreier_sims,
-    transitivity_rank,
     two_point_stabilizer,
 )
 
@@ -136,7 +135,7 @@ def pair_orbitals(g: Graph, group: GroupBSGS, omega: int = 0) -> PairOrbitals:
     cell = np.repeat(np.arange(3, dtype=np.int8), np.diff(ends))
     relation = 2 - g.adjacency_dense()[np.ix_(order, order)] - 2 * np.eye(n, dtype=np.int8)
     chain = based_at(group, omega)
-    stab_gens = chain.stabilizer_gens(1)
+    stab_gens = chain.stabilizer(1).strong_gens
     # G_ω on positions: the generator g sends position x to where[g[order[x]]]
     stab = [where[np.asarray(s)[order]] for s in stab_gens]
     least = pair_orbit_labels(stab, n).reshape(-1)
@@ -417,8 +416,8 @@ def analyze_vertex(
     orbitals = pair_orbitals(g, group, omega)
     (dim0, blocks0), (dim1, blocks1), t_stats = _t0_t(orbitals, primes, rational)
     dim2, blocks2 = t_tilde_report(orbitals)
-    transitive, rank = transitivity_rank(orbitals.chain, g.n)
-    rank3 = bool(transitive and rank == 3)
+    transitive = orbitals.chain.levels[0].size == g.n
+    rank3 = transitive and len(orbitals.orbits) == 3
     equality = dim0 == dim1 == dim2
     flags: list[str] = []
     if not aut_complete:

@@ -261,6 +261,22 @@ def test_timeout_raises_and_partial_mode():
     assert all(preserves_adjacency(g, p) for p in res.gens)
 
 
+@pytest.mark.parametrize("timeout", [0, -1, float("nan")])
+def test_a_timeout_that_is_not_positive_is_rejected_before_the_search(paley13, monkeypatch, timeout):
+    def first_path(*args, **kwargs):
+        raise AssertionError("the search ran on a timeout that was not checked")
+
+    monkeypatch.setattr(autgrp, "_first_path", first_path)
+    with pytest.raises(ValueError, match="timeout"):
+        automorphism_group(paley13, timeout=timeout)
+    with pytest.raises(ValueError, match="timeout"):
+        triple_transitivity_verdict(paley13, timeout=timeout)
+
+
+def test_infinite_timeout_means_no_limit(paley13):
+    assert automorphism_group(paley13, timeout=float("inf")).order == 78
+
+
 # -- seeded search ---------------------------------------------------------------
 
 @pytest.mark.parametrize("which", ["grid5", "paley13", "petersen"])

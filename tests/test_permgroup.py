@@ -2,6 +2,7 @@
 
 from functools import cache
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,7 +141,7 @@ def test_incremental_chain_matches_brute_force(n, data):
         x = (omega + data.draw(st.integers(1, n - 1), label="x - omega")) % n
         fresh = schreier_sims(gens, base_prefix=(omega,), n=n)
         stab_order = fresh.order // len(orbit(gens, omega))
-        x_orbit = orbit(fresh.stabilizer_gens(1), x)
+        x_orbit = orbit(fresh.stabilizer(1).strong_gens, x)
         two = two_point_stabilizer(chain, omega, x)
         assert schreier_sims(two, n=n).order == stab_order // len(x_orbit)
         assert schreier_sims(two, n=n).order == sum(
@@ -227,6 +228,17 @@ def test_orbit_stabilizer_on_chains_with_any_base(name, data):
     two = two_point_stabilizer(chain, omega, x)
     assert all(p[omega] == omega and p[x] == x for p in two)
     assert stab_order == len(orbit(stab, x)) * schreier_sims(two, n=n).order
+    # the first two base points: both chains are tails of this one
+    b0, b1 = chain.base[:2]
+    first = point_stabilizer(chain, b0)
+    two = two_point_stabilizer(chain, b0, b1)
+    assert all(p[b0] == b0 and p[b1] == b1 for p in two)
+    assert schreier_sims(first, n=n).order == len(orbit(first, b1)) * schreier_sims(two, n=n).order
+    for d in range(len(chain.levels) + 1):
+        stab = chain.stabilizer(d)
+        assert stab.order == chain.order // prod(lvl.size for lvl in chain.levels[:d])
+        assert schreier_sims(stab.strong_gens, n=n).order == stab.order
+        assert all(p[b] == b for p in stab.strong_gens for b in chain.base[:d])
 
 
 def test_transitivity_rank_examples():

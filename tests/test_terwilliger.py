@@ -20,7 +20,7 @@ from srgta.graphcore import ImprimitiveParams, complement, require_srg, vertex_p
 from srgta.exactmath import DEFAULT_PRIMES, NotPrime, SizeGuardExceeded, gf_construct
 from srgta.linalg import PrimeDisagreement, algebra_closure, closure_product_selftest
 from srgta.permgroup import based_at, point_stabilizer, schreier_sims
-from srgta import classifier, terwilliger
+from srgta import classifier, permgroup, terwilliger
 from srgta.terwilliger import (
     AlgebraReport,
     CellNotInvariant,
@@ -430,6 +430,27 @@ def test_analyze_vertex_builds_the_context_once(petersen, monkeypatch):
         monkeypatch.setattr(terwilliger, name, counted(name, getattr(terwilliger, name)))
     analyze_vertex(petersen, schreier_sims([], n=10), 0)
     assert sorted(calls) == ["based_at", "check_guard", "require_srg", "vertex_partition"]
+
+
+def test_t_tilde_rebuilds_no_chain_at_the_second_base_point(paley13, monkeypatch):
+    # G_0 has the orbits {0}, the squares and the non-squares mod 13; the
+    # search's chain is based at 0 and then at a point of one of them, so of
+    # the two two-point stabilizers only the other one is rebuilt
+    chain = automorphism_group(paley13).group
+    orb = pair_orbitals(paley13, chain, 0)
+    builds = []
+    real_build = permgroup._build
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[0])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "_build", counted_build)
+    assert t_tilde_report(orb)[0] == 3 + 13 + 13  # G_0,x is trivial for x ≠ 0
+    assert len(builds) == 1
+    two = permgroup.two_point_stabilizer(chain, chain.base[0], chain.base[1])
+    assert len(builds) == 1
+    assert schreier_sims(two, n=13).order == 1
 
 
 def test_analyze_vertex_checks_the_size_guard_before_labelling(petersen, monkeypatch):
